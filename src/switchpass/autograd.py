@@ -91,10 +91,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def _track(out_data, parents, vjp) -> Tensor:
     out = Tensor(out_data)
     if any(p.requires_grad for p in parents):
@@ -166,13 +162,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     else:
         vjp = lambda g: (g * b.data, g * a.data)
     return _track(a.data * b.data, (a, b), vjp)
-
-
-def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
-    ops = {"add": add, "sub": sub, "mul": mul}
-    if kind not in ops:
-        raise ContractError(f"elementwise: unknown kind {kind!r}")
-    return ops[kind](a, b)
 
 
 def scale(a: Tensor, c: float) -> Tensor:

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +20,8 @@ from . import data as dat
 from . import evaluation as ev
 from . import routing, training
 from .autograd import Tensor
-from .config import RunConfig, load_run_config
-from .errors import ConfigError, FormatError, TrainingError
-from .training import format_float
+from .config import RunConfig, check_routing_inputs, load_run_config
+from .errors import ConfigError, ContractError, FormatError, TrainingError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,6 +73,7 @@ def cmd_train(args) -> int:
 
 
 def _resolve_tau(run: RunConfig, args, model, dataset) -> float:
+    check_routing_inputs(args.tau, args.target_light_fraction)
     if args.tau is not None:
         return args.tau
     fraction = args.target_light_fraction
@@ -120,37 +119,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(payload):
-    base_cfg, beta = payload
-    cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, beta=beta))
-    result = training.train(cfg)
-    return ev.SparsityCurvePoint(
-        beta=beta,
-        sparsity=routing.activation_sparsity(result.model.mask),
-        l_recon=result.metrics[-1]["l_recon"] if result.metrics else float("nan"),
-    )
-
-
 def cmd_sweep_beta(args) -> int:
     run = _load(args.config, args.seed)
     out = run.output_dir
     os.makedirs(out, exist_ok=True)
-    betas = sorted(set(args.betas))
-    if any(b < 0 for b in betas):
-        raise ConfigError(f"betas must be >= 0, got {args.betas}")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(_sweep_worker, [(run.train_cfg, b) for b in betas]))
-    else:
-        points = ev.sparsity_sweep(run.train_cfg, betas)
+    points = ev.sparsity_sweep(run.train_cfg, set(args.betas), jobs=args.jobs)
     ev.write_sparsity_csv(points, os.path.join(out, "sparsity.csv"))
     return EXIT_OK
-
-
-def _ablation_worker(payload):
-    base_cfg, placement = payload
-    rows = ev.placement_ablation(base_cfg, [placement])
-    return rows[0]
 
 
 def cmd_ablate_placement(args) -> int:
@@ -163,12 +138,7 @@ def cmd_ablate_placement(args) -> int:
             raise ConfigError(
                 f"placement {i} is out of range [1, {n_layers - 1}] for this architecture"
             )
-    placements = sorted(set(args.placements))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_ablation_worker, [(run.train_cfg, i) for i in placements]))
-    else:
-        rows = ev.placement_ablation(run.train_cfg, placements)
+    rows = ev.placement_ablation(run.train_cfg, set(args.placements), jobs=args.jobs)
     ev.write_ablation_csv(rows, os.path.join(out, "ablation.csv"))
     return EXIT_OK
 
@@ -234,7 +204,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingError as exc:

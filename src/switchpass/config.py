@@ -10,46 +10,36 @@ missing keys fall back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 from . import data as dat
 from . import routing
 from .errors import ConfigError
 from .training import DataConfig, TrainConfig
 
-DEFAULTS = {
-    "arch": {
-        "dims": [64, 32, 32, 48, 48, 48, 64],
-        "activations": ["tanh", "tanh", "tanh", "tanh", "tanh", "none"],
-        "placement": 1,
-        "rho": 0.25,
-    },
-    "dsl": {
-        "alpha": 1.0,
-        "beta": 1e-3,
-        "eps": 1e-3,
-    },
-    "data": {
-        "frame_len": 64,
-        "easy_noise_amp": 0.02,
-        "hard_components": 3,
-        "hard_freq_range": [0.02, 0.45],
-        "hard_amp_range": [0.2, 0.9],
-        "seed": 11,
-        "n_easy": 1500,
-        "n_hard": 1000,
-        "ratios": [0.7, 0.15, 0.15],
-        "wav_paths": [],
-    },
-    "train": {
-        "epochs": 400,
-        "batch_size": 32,
-        "lr": 1e-3,
-        "seed": 7,
-        "checkpoint_every": 0,
-    },
-    "output_dir": "switchpass_out",
-}
+#: Data seed of a config that does not set one, the only default that differs
+#: from the dataclasses'. The acceptance gate trains TrainConfig(), so data
+#: seed 0, and the benchmark trains `{}` through the CLI, so this seed:
+#: changing either would re-seed that suite's corpus.
+CLI_DATA_SEED = 11
+
+
+def _defaults() -> dict:
+    train, dsl, data = TrainConfig(), routing.SwitchConfig(), DataConfig()
+    return {
+        "arch": {"dims": train.dims, "activations": train.activations,
+                 "placement": dsl.placement, "rho": dsl.rho},
+        "dsl": {"alpha": dsl.alpha, "beta": dsl.beta, "eps": dsl.eps},
+        "data": {**asdict(data.spec), "seed": CLI_DATA_SEED, "n_easy": data.n_easy,
+                 "n_hard": data.n_hard, "ratios": data.ratios, "wav_paths": data.wav_paths},
+        "train": {"epochs": train.epochs, "batch_size": train.batch_size, "lr": train.lr,
+                  "seed": train.seed, "checkpoint_every": train.checkpoint_every},
+        "output_dir": "switchpass_out",
+    }
+
+
+DEFAULTS = _defaults()
 
 # dsl.tau and dsl.target_light_fraction are optional and mutually exclusive.
 _OPTIONAL_KEYS = {"dsl": {"tau", "target_light_fraction"}}
@@ -61,6 +51,15 @@ class RunConfig:
     output_dir: str
     tau: float | None = None
     target_light_fraction: float | None = None
+
+
+def check_routing_inputs(tau: float | None, fraction: float | None) -> None:
+    """Rejects a routing threshold that is not finite and >= 0, and a target
+    light fraction outside [0, 1]; None skips the check."""
+    if tau is not None and not (math.isfinite(tau) and tau >= 0.0):
+        raise ConfigError(f"tau must be finite and >= 0, got {tau}")
+    if fraction is not None and not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"target_light_fraction must be in [0, 1], got {fraction}")
 
 
 def _merge_section(name: str, user: dict) -> dict:
@@ -93,7 +92,6 @@ def parse_config(doc: dict) -> RunConfig:
         alpha=float(dsl["alpha"]),
         beta=float(dsl["beta"]),
         eps=float(dsl["eps"]),
-        tau=float(dsl.get("tau", 0.0)),
         rho=float(arch["rho"]),
         placement=int(arch["placement"]),
     )
@@ -126,17 +124,12 @@ def parse_config(doc: dict) -> RunConfig:
     output_dir = doc.get("output_dir", DEFAULTS["output_dir"])
     if not isinstance(output_dir, str):
         raise ConfigError(f"config: output_dir must be a string, got {output_dir!r}")
+    tau = float(dsl["tau"]) if "tau" in dsl else None
     tlf = dsl.get("target_light_fraction")
-    if tlf is not None:
-        tlf = float(tlf)
-        if not 0.0 <= tlf <= 1.0:
-            raise ConfigError(f"config section dsl: target_light_fraction must be in [0, 1], got {tlf}")
-    return RunConfig(
-        train_cfg=train_cfg,
-        output_dir=output_dir,
-        tau=float(dsl["tau"]) if "tau" in dsl else None,
-        target_light_fraction=tlf,
-    )
+    tlf = None if tlf is None else float(tlf)
+    check_routing_inputs(tau, tlf)
+    return RunConfig(train_cfg=train_cfg, output_dir=output_dir, tau=tau,
+                     target_light_fraction=tlf)
 
 
 def load_run_config(path) -> RunConfig:

@@ -4,6 +4,8 @@ difficulty probe on the pass outputs."""
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,20 +116,39 @@ class SparsityCurvePoint:
     l_recon: float
 
 
-def sparsity_sweep(base_cfg: TrainConfig, betas) -> list[SparsityCurvePoint]:
-    """One full training run per beta, identical seeds otherwise."""
+def _run_each(run_one, base_cfg: TrainConfig, values, jobs: int) -> list:
+    """run_one(base_cfg, value, dataset) for each value, in order.
+
+    With jobs > 1 the runs go to up to that many worker processes. Every run
+    gets the same dataset, built once here, and training is deterministic,
+    so the results do not depend on jobs.
+    """
+    dataset = training.build_dataset(base_cfg.data)
+    n = len(values)
+    args = ([base_cfg] * n, values, [dataset] * n)
+    workers = min(jobs, n)
+    if workers <= 1:
+        return list(map(run_one, *args))
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        return list(pool.map(run_one, *args))
+
+
+def _sweep_point(base_cfg: TrainConfig, beta: float, dataset: dat.Dataset) -> SparsityCurvePoint:
+    cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, beta=beta))
+    result = training.train(cfg, dataset=dataset)
+    l_recon = result.metrics[-1]["l_recon"] if result.metrics else float("nan")
+    return SparsityCurvePoint(beta=beta, sparsity=routing.activation_sparsity(result.model.mask),
+                              l_recon=l_recon)
+
+
+def sparsity_sweep(base_cfg: TrainConfig, betas, jobs: int = 1) -> list[SparsityCurvePoint]:
+    """One full training run per beta, identical seeds otherwise; jobs > 1
+    runs them in parallel worker processes with identical results."""
     betas = sorted(float(b) for b in betas)
     if len(set(betas)) != len(betas) or any(b < 0 for b in betas):
         raise ContractError(f"sparsity_sweep: betas must be distinct and >= 0, got {betas}")
-    dataset = training.build_dataset(base_cfg.data)
-    points = []
-    for beta in betas:
-        cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, beta=beta))
-        result = training.train(cfg, dataset=dataset)
-        final_sparsity = routing.activation_sparsity(result.model.mask)
-        l_recon = result.metrics[-1]["l_recon"] if result.metrics else float("nan")
-        points.append(SparsityCurvePoint(beta=beta, sparsity=final_sparsity, l_recon=l_recon))
-    return points
+    return _run_each(_sweep_point, base_cfg, betas, jobs)
 
 
 @dataclass
@@ -140,15 +161,6 @@ class CalibrationPoint:
     actual: np.ndarray
 
 
-def switch_scatter(model: SwitchedAutoencoder, frames) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted vs measured distances on held-out frames."""
-    x = Tensor(dat.frames_to_matrix(frames))
-    h = model.masked_latent(x, "infer")
-    predicted = model.switch.predict(h).data
-    actual = routing.pass_gap(model.light.forward(h), model.suffix.forward(h)).data
-    return predicted, actual
-
-
 def calibration_progress(cfg: TrainConfig, checkpoints, frames) -> list[CalibrationPoint]:
     """Evaluates each checkpoint's switch on the same held-out frames."""
     if len(checkpoints) < 2:
@@ -156,7 +168,7 @@ def calibration_progress(cfg: TrainConfig, checkpoints, frames) -> list[Calibrat
     points = []
     for ckpt in checkpoints:
         model = training.restore_model(cfg, ckpt)
-        predicted, actual = switch_scatter(model, frames)
+        predicted, actual = model.switch_scatter(Tensor(dat.frames_to_matrix(frames)))
         r, degenerate = pearson(predicted, actual)
         points.append(CalibrationPoint(
             epoch=ckpt.epoch,
@@ -177,25 +189,24 @@ class AblationRow:
     prefix_mac_share: float
 
 
-def placement_ablation(base_cfg: TrainConfig, placements) -> list[AblationRow]:
-    """One training run per block position, shared seed and data."""
-    placements = sorted(int(i) for i in placements)
-    dataset = training.build_dataset(base_cfg.data)
-    rows = []
-    for i in placements:
-        cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, placement=i))
-        result = training.train(cfg, dataset=dataset)
-        model = result.model
-        predicted, actual = switch_scatter(model, dataset.calibrate)
-        r, _ = pearson(predicted, actual)
-        total_macs = model.macs_prefix() + model.macs_suffix()
-        rows.append(AblationRow(
-            placement=i,
-            pearson_r=r,
-            mae=float(np.mean(np.abs(predicted - actual))),
-            prefix_mac_share=model.macs_prefix() / total_macs,
-        ))
-    return rows
+def _ablation_row(base_cfg: TrainConfig, placement: int, dataset: dat.Dataset) -> AblationRow:
+    cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, placement=placement))
+    model = training.train(cfg, dataset=dataset).model
+    predicted, actual = model.switch_scatter(Tensor(dat.frames_to_matrix(dataset.calibrate)))
+    r, _ = pearson(predicted, actual)
+    total_macs = model.macs_prefix() + model.macs_suffix()
+    return AblationRow(
+        placement=placement,
+        pearson_r=r,
+        mae=float(np.mean(np.abs(predicted - actual))),
+        prefix_mac_share=model.macs_prefix() / total_macs,
+    )
+
+
+def placement_ablation(base_cfg: TrainConfig, placements, jobs: int = 1) -> list[AblationRow]:
+    """One training run per block position, shared seed and data; jobs > 1
+    runs them in parallel worker processes with identical results."""
+    return _run_each(_ablation_row, base_cfg, sorted(int(i) for i in placements), jobs)
 
 
 # --- difficulty probe --------------------------------------------------------
@@ -208,27 +219,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def fit_probe(x: np.ndarray, y: np.ndarray, epochs: int = 300, lr: float = 0.05):
     """Logistic regression (one dense layer + sigmoid) trained full-batch
-    with Adam for a fixed budget. Deterministic: zero init, convex loss."""
+    with the training loop's Adam for a fixed budget. Deterministic: zero
+    init, convex loss."""
     n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
-    m_w = np.zeros(d); v_w = np.zeros(d)
-    m_b = 0.0; v_b = 0.0
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    for t in range(1, epochs + 1):
-        p = _sigmoid(x @ w + b)
-        err = (p - y) / n
-        g_w = x.T @ err
-        g_b = float(err.sum())
-        m_w = beta1 * m_w + (1 - beta1) * g_w
-        v_w = beta2 * v_w + (1 - beta2) * g_w ** 2
-        m_b = beta1 * m_b + (1 - beta1) * g_b
-        v_b = beta2 * v_b + (1 - beta2) * g_b ** 2
-        c1 = 1 - beta1 ** t
-        c2 = 1 - beta2 ** t
-        w = w - lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
-        b = b - lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
-    return w, b
+    w = Tensor(np.zeros(d))
+    b = Tensor(np.zeros(()))
+    params = [("w", w), ("b", b)]
+    state = training.AdamState(params, lr=lr)
+    for _ in range(epochs):
+        err = (_sigmoid(x @ w.data + b.data) - y) / n
+        w.grad = x.T @ err
+        b.grad = err.sum()
+        training.adam_step(params, state)
+    return w.data, float(b.data)
 
 
 def probe_accuracy(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray) -> float:

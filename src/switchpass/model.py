@@ -35,7 +35,7 @@ class SwitchedAutoencoder:
         self.cfg = cfg
         self.seed = seed
 
-        self.net = nn.init_network(dims, activations, nn.InitSpec(seed=derive_seed(seed, _NET)))
+        self.net = nn.init_network(dims, activations, derive_seed(seed, _NET))
         self.prefix, self.suffix = self.net.split_at(cfg.placement)
         d = self.net.width_at(cfg.placement)
         self.mask = routing.LatentMask(d, eps=cfg.eps)
@@ -43,10 +43,6 @@ class SwitchedAutoencoder:
         self.light = routing.build_light_decoder(
             self.suffix, cfg.rho, seed=derive_seed(seed, _LIGHT)
         )
-
-    @property
-    def latent_dim(self) -> int:
-        return self.mask.dim
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         params = []
@@ -77,6 +73,14 @@ class SwitchedAutoencoder:
 
     def switch_predictions(self, x: Tensor) -> np.ndarray:
         return self.switch.predict(self.masked_latent(x, "infer")).data
+
+    def switch_scatter(self, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
+        """Switch predictions and the measured light-vs-full distances they
+        estimate, per row of x."""
+        h = self.masked_latent(x, "infer")
+        predicted = self.switch.predict(h).data
+        actual = routing.pass_gap(self.light.forward(h), self.suffix.forward(h)).data
+        return predicted, actual
 
     # Per-sample MAC cost of each strategy, by the out*in counting rule.
     def macs_prefix(self) -> int:

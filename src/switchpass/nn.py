@@ -91,17 +91,11 @@ def mac_count(net: Network) -> int:
     return sum(layer.mac_count() for layer in net.layers)
 
 
-@dataclass
-class InitSpec:
-    seed: int
-    scheme: str = "uniform_xavier"
-
-
-def init_network(dims, activations, spec: InitSpec) -> Network:
+def init_network(dims, activations, seed: int) -> Network:
     """Builds a network with uniform-Xavier weights and zero biases.
 
     dims is the full width chain (len >= 1); activations has one entry per
-    layer. Identical (scheme, seed, dims, activations) give bitwise-identical
+    layer. Identical (seed, dims, activations) give bitwise-identical
     parameters.
     """
     dims = [int(d) for d in dims]
@@ -114,10 +108,8 @@ def init_network(dims, activations, spec: InitSpec) -> Network:
     for act in activations:
         if act not in LAYER_ACTIVATIONS:
             raise ConfigError(f"init: unknown activation {act!r}")
-    if spec.scheme != "uniform_xavier":
-        raise ConfigError(f"init: unknown scheme {spec.scheme!r}")
 
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     layers = []
     for fan_in, fan_out, act in zip(dims[:-1], dims[1:], activations):
         limit = np.sqrt(6.0 / (fan_in + fan_out))

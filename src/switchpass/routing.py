@@ -24,24 +24,21 @@ from .errors import ConfigError, ContractError, DimensionError
 LIGHT = "light"
 FULL = "full"
 
-#: Guard added to the denominator of the normalized distance.
-NORM_DELTA = 1e-8
-
 
 @dataclass
 class SwitchConfig:
     """Weights and thresholds governing the block.
 
     alpha jointly weights the switch and imitation losses, beta weights the
-    mask's L1 penalty, tau is the routing threshold on predicted distance,
-    eps the hard-zero cutoff for mask weights at inference, rho the width
-    factor of the lightweight decoder, and placement the layer index where
-    the block is inserted.
+    mask's L1 penalty, eps is the hard-zero cutoff for mask weights at
+    inference, rho the width factor of the lightweight decoder, and placement
+    the layer index where the block is inserted. The routing threshold tau is
+    not part of the block: it is calibrated or chosen per run (see
+    config.RunConfig).
     """
 
     alpha: float = 1.0
     beta: float = 1e-3
-    tau: float = 0.0
     eps: float = 1e-3
     rho: float = 0.25
     placement: int = 1
@@ -51,8 +48,6 @@ class SwitchConfig:
             raise ConfigError(f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
-        if self.tau < 0:
-            raise ConfigError(f"tau must be >= 0, got {self.tau}")
         if self.eps <= 0:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
         if self.placement < 0:
@@ -109,7 +104,7 @@ class Switch:
 
 def build_switch(dim: int, seed: int) -> Switch:
     hidden = max(4, dim // 4)
-    net = nn.init_network([dim, hidden, 1], ["relu", "none"], nn.InitSpec(seed=seed))
+    net = nn.init_network([dim, hidden, 1], ["relu", "none"], seed)
     return Switch(net)
 
 
@@ -123,28 +118,17 @@ def build_light_decoder(suffix: nn.Network, rho: float, seed: int) -> nn.Network
     hidden = [layer.out_dim for layer in suffix.layers[:-1]]
     dims = [suffix.input_dim] + [math.ceil(rho * w) for w in hidden] + [suffix.output_dim]
     activations = [layer.activation for layer in suffix.layers]
-    return nn.init_network(dims, activations, nn.InitSpec(seed=seed))
-
-
-def discrepancy(d_out: Tensor, full_out: Tensor) -> Tensor:
-    """Per-sample distance between the two passes, normalized by the full
-    pass's norm (plus a small guard). Carries no gradient linkage."""
-    if d_out.shape != full_out.shape:
-        raise DimensionError(f"discrepancy: shape mismatch {d_out.shape} vs {full_out.shape}")
-    diff = np.linalg.norm(d_out.data - full_out.data, axis=1)
-    ref = np.linalg.norm(full_out.data, axis=1)
-    return Tensor(diff / (ref + NORM_DELTA))
+    return nn.init_network(dims, activations, seed)
 
 
 def pass_gap(d_out: Tensor, full_out: Tensor) -> Tensor:
     """Per-sample absolute distance between the two passes.
 
-    This is the switch's regression target. The normalized variant above
-    divides by the full pass's output norm, which is tiny for near-silent
-    frames: that blows their scores up and inverts the easy/hard ordering,
-    so routing thresholds operate on the absolute distance instead (the
-    threshold itself is chosen by quantile, so no fixed scale is needed).
-    Carries no gradient linkage.
+    This is the switch's regression target. It is deliberately not
+    normalized by the full pass's output norm: that norm is tiny for
+    near-silent frames, so a relative distance would blow their scores up and
+    invert the easy/hard ordering. The threshold on it is chosen by quantile,
+    so no fixed scale is needed. Carries no gradient linkage.
     """
     if d_out.shape != full_out.shape:
         raise DimensionError(f"pass_gap: shape mismatch {d_out.shape} vs {full_out.shape}")

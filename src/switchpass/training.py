@@ -23,9 +23,6 @@ from .model import SwitchedAutoencoder, derive_seed, _SHUFFLE
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-METRIC_FIELDS = ("epoch", "l_recon", "l_switch", "l_lwd", "l_comp", "l_total",
-                 "sparsity", "switch_mae")
-
 #: Column order of metrics.csv (l_total is kept in the checkpoint history only).
 METRICS_CSV_HEADER = "epoch,l_recon,l_switch,l_lwd,l_comp,sparsity,switch_mae"
 
@@ -144,10 +141,7 @@ def total_loss(x: Tensor, model: SwitchedAutoencoder):
 
 def switch_mae(model: SwitchedAutoencoder, frames) -> float:
     """Mean absolute error of switch predictions against measured distances."""
-    x = Tensor(dat.frames_to_matrix(frames))
-    h = model.masked_latent(x, "infer")
-    predicted = model.switch.predict(h).data
-    actual = routing.pass_gap(model.light.forward(h), model.suffix.forward(h)).data
+    predicted, actual = model.switch_scatter(Tensor(dat.frames_to_matrix(frames)))
     return float(np.mean(np.abs(predicted - actual)))
 
 

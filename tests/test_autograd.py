@@ -94,14 +94,6 @@ class TestElementwise:
         ag.backward(ag.reduce(out, "sum"))
         assert np.array_equal(x.grad, np.zeros(5))
 
-    def test_kind_dispatch(self):
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-        assert np.array_equal(ag.elementwise(a, b, "add").data, [4.0, 6.0])
-        assert np.array_equal(ag.elementwise(a, b, "sub").data, [-2.0, -2.0])
-        assert np.array_equal(ag.elementwise(a, b, "mul").data, [3.0, 8.0])
-        with pytest.raises(ContractError):
-            ag.elementwise(a, b, "div")
-
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ag.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))

@@ -5,6 +5,8 @@ import pytest
 
 from switchpass import cli
 from switchpass import data as dat
+from switchpass.config import CLI_DATA_SEED, parse_config
+from switchpass.training import DataConfig, TrainConfig
 
 TINY_CONFIG = {
     "arch": {
@@ -64,6 +66,12 @@ def test_tau_and_fraction_mutually_exclusive_in_config(tmp_path):
 
 def test_unknown_command_exits_2():
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_empty_config_is_dataclass_defaults_except_data_seed():
+    assert CLI_DATA_SEED == 11  # the benchmark trains on this corpus
+    want = TrainConfig(data=DataConfig(spec=dat.SignalSpec(seed=CLI_DATA_SEED)))
+    assert parse_config({}).train_cfg == want
 
 
 def test_train_epochs_zero_writes_initial_checkpoint(workdir):
@@ -148,6 +156,32 @@ class TestEval:
         realized = float(np.mean(preds < summary["tau"]))
         assert abs(realized - 0.5) <= 0.02
 
+    @pytest.mark.parametrize("flags", [
+        ["--target-light-fraction", "1.5"],
+        ["--tau", "-1"],
+        ["--tau", "nan"],
+    ], ids=["fraction-1.5", "tau-negative", "tau-nan"])
+    def test_invalid_tau_flags_exit_2(self, trained, flags, capsys):
+        tmp_path, config, ckpt = trained
+        assert cli.main(["eval", str(config), str(ckpt), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dsl, ratios", [
+        ({"tau": float("nan")}, None),
+        ({"tau": -0.1}, None),
+        ({}, [0.8, 0.0, 0.2]),
+        ({}, [0.8, 0.2, 0.0]),
+    ], ids=["tau-nan", "tau-negative", "no-calibrate-split", "no-test-split"])
+    def test_invalid_eval_config_exits_2(self, trained, dsl, ratios, capsys):
+        tmp_path, config, ckpt = trained
+        doc = json.loads(config.read_text())
+        doc["dsl"].update(dsl)
+        if ratios is not None:
+            doc["data"]["ratios"] = ratios
+        config.write_text(json.dumps(doc))
+        assert cli.main(["eval", str(config), str(ckpt)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exits_4(self, trained):
         tmp_path, config, ckpt = trained
         bad = tmp_path / "bad.json"
@@ -173,17 +207,25 @@ class TestSweep:
         betas = [float(line.split(",")[0]) for line in lines[1:]]
         assert betas == sorted(betas)
 
+    def test_negative_beta_exits_2(self, workdir, capsys):
+        tmp_path, config = workdir
+        assert cli.main(["sweep-beta", str(config), "--betas", "-0.1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_empty_betas_exits_2(self, workdir):
         tmp_path, config = workdir
         assert cli.main(["sweep-beta", str(config), "--betas"]) == 2
 
-    def test_parallel_jobs_match_sequential(self, workdir):
+    @pytest.mark.parametrize("command, flags, output", [
+        ("sweep-beta", ["--betas", "0.0001", "0.01"], "sparsity.csv"),
+        ("ablate-placement", ["--placements", "1", "2"], "ablation.csv"),
+    ], ids=["sweep-beta", "ablate-placement"])
+    def test_parallel_jobs_match_sequential(self, workdir, command, flags, output):
         tmp_path, config = workdir
-        assert cli.main(["sweep-beta", str(config), "--betas", "0.0001", "0.01"]) == 0
-        sequential = (tmp_path / "out" / "sparsity.csv").read_bytes()
-        assert cli.main(["--jobs", "2", "sweep-beta", str(config),
-                         "--betas", "0.0001", "0.01"]) == 0
-        assert (tmp_path / "out" / "sparsity.csv").read_bytes() == sequential
+        assert cli.main([command, str(config), *flags]) == 0
+        sequential = (tmp_path / "out" / output).read_bytes()
+        assert cli.main(["--jobs", "2", command, str(config), *flags]) == 0
+        assert (tmp_path / "out" / output).read_bytes() == sequential
 
 
 class TestAblate:

@@ -11,7 +11,7 @@ RNG = np.random.default_rng(7)
 
 def random_net(dims, seed=0, activation="tanh"):
     acts = [activation] * (len(dims) - 2) + ["none"]
-    return nn.init_network(dims, acts, nn.InitSpec(seed=seed))
+    return nn.init_network(dims, acts, seed)
 
 
 class TestForward:
@@ -142,12 +142,9 @@ class TestInit:
         assert net.layers[0].bias.requires_grad
 
     def test_invalid_configs(self):
-        spec = nn.InitSpec(seed=0)
         with pytest.raises(ConfigError):
-            nn.init_network([4, 0], ["none"], spec)
+            nn.init_network([4, 0], ["none"], 0)
         with pytest.raises(ConfigError):
-            nn.init_network([4, 3], ["none", "none"], spec)
+            nn.init_network([4, 3], ["none", "none"], 0)
         with pytest.raises(ConfigError):
-            nn.init_network([4, 3], ["gelu"], spec)
-        with pytest.raises(ConfigError):
-            nn.init_network([4, 3], ["none"], nn.InitSpec(seed=0, scheme="orthogonal"))
+            nn.init_network([4, 3], ["gelu"], 0)
