@@ -20,6 +20,9 @@ _node_ids = itertools.count()
 # Active MAC counter, if any. Single-threaded by contract.
 _mac_counter = None
 
+# False inside a no_grad() block. Single-threaded by contract.
+_grad_enabled = True
+
 
 class MacCounter:
     """Counts multiply-accumulates of every matmul executed inside a `with` block."""
@@ -36,6 +39,22 @@ class MacCounter:
     def __exit__(self, *exc):
         global _mac_counter
         _mac_counter = self._outer
+        return False
+
+
+class no_grad:
+    """Inside a `with` block ops build no graph: every output is an untracked
+    Tensor with no parents, so nothing keeps intermediate values alive."""
+
+    def __enter__(self):
+        global _grad_enabled
+        self._outer = _grad_enabled
+        _grad_enabled = False
+        return self
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._outer
         return False
 
 
@@ -93,7 +112,7 @@ class Tensor:
 
 def _track(out_data, parents, vjp) -> Tensor:
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -111,12 +130,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _mm(g, b.data.T), _mm(a.data.T, g)
 
     return _track(_mm(a.data, b.data), (a, b), vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose: need a 2-d tensor, got shape {a.shape}")
-    return _track(a.data.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -170,32 +183,65 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _track(a.data * c, (a,), lambda g: (g * c,))
 
 
+# Activation formulas: kind -> (value, derivative), None for the identity.
+# The derivative takes the activation's input and output; relu's is 0 at 0.
+_ACT = {
+    "none": (None, None),
+    "relu": (lambda z: np.where(z > 0.0, z, 0.0), lambda z, out: z > 0.0),
+    "tanh": (np.tanh, lambda z, out: 1.0 - out * out),
+}
+
+
+def _pointwise(a: Tensor, kind: str) -> Tensor:
+    f, df = _ACT[kind]
+    z = a.data
+    out = f(z)
+    return _track(out, (a,), lambda g: (g * df(z, out),))
+
+
 def relu(a: Tensor) -> Tensor:
-    # Gradient at exactly 0 is 0.
-    mask = a.data > 0.0
-    return _track(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return _pointwise(a, "relu")
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _track(out, (a,), lambda g: (g * (1.0 - out * out),))
+    return _pointwise(a, "tanh")
 
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _track(out, (a,), lambda g: (g * sig,))
+    e = np.exp(-np.abs(x))
+    out = np.maximum(x, 0.0) + np.log1p(e)
+
+    def vjp(g):
+        return (g * np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)),)
+
+    return _track(out, (a,), vjp)
 
 
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "softplus": softplus}
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
+    """act(x @ w.T + b) as one node, for x (m, k), w (n, k) and b (n,).
 
+    It runs the kernels of the matmul, bias-add and activation ops in their
+    order, and its VJP returns the arrays that chain of ops would, so values
+    and gradients are bitwise equal to it. Counts m*k*n MACs.
+    """
+    if act not in _ACT:
+        raise ContractError(f"dense: unknown activation {act!r}")
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1] or bd.shape != wd.shape[:1]:
+        raise DimensionError(f"dense: incompatible shapes {xd.shape}, {wd.shape}, {bd.shape}")
+    if _mac_counter is not None:
+        _mac_counter.total += xd.size * wd.shape[0]
+    f, df = _ACT[act]
+    z = _mm(xd, wd.T) + bd
+    out = z if f is None else f(z)
 
-def activation(a: Tensor, kind: str) -> Tensor:
-    if kind not in _ACTIVATIONS:
-        raise ContractError(f"activation: unknown kind {kind!r}")
-    return _ACTIVATIONS[kind](a)
+    def vjp(g):
+        gz = g if df is None else g * df(z, out)
+        gx = _mm(gz, wd) if x.requires_grad else None
+        return gx, _mm(xd.T, gz).T, gz.sum(axis=0)
+
+    return _track(out, (x, w, b), vjp)
 
 
 def reduce(a: Tensor, kind: str) -> Tensor:

@@ -88,12 +88,12 @@ def _resolve_tau(run: RunConfig, args, model, dataset) -> float:
 def cmd_eval(args) -> int:
     run = _load(args.config, args.seed)
     out = run.output_dir
-    os.makedirs(out, exist_ok=True)
     ckpt = training.load_checkpoint(args.checkpoint)
     model = training.restore_model(run.train_cfg, ckpt)
     dataset = training.build_dataset(run.train_cfg.data)
 
     tau = _resolve_tau(run, args, model, dataset)
+    os.makedirs(out, exist_ok=True)
     report = ev.routing_stats(model, dataset.test, tau)
     ev.write_routing_csv(report, os.path.join(out, "routing.csv"))
 
@@ -121,25 +121,17 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     run = _load(args.config, args.seed)
-    out = run.output_dir
-    os.makedirs(out, exist_ok=True)
     points = ev.sparsity_sweep(run.train_cfg, set(args.betas), jobs=args.jobs)
-    ev.write_sparsity_csv(points, os.path.join(out, "sparsity.csv"))
+    os.makedirs(run.output_dir, exist_ok=True)
+    ev.write_sparsity_csv(points, os.path.join(run.output_dir, "sparsity.csv"))
     return EXIT_OK
 
 
 def cmd_ablate_placement(args) -> int:
     run = _load(args.config, args.seed)
-    out = run.output_dir
-    os.makedirs(out, exist_ok=True)
-    n_layers = len(run.train_cfg.dims) - 1
-    for i in args.placements:
-        if not 1 <= i <= n_layers - 1:
-            raise ConfigError(
-                f"placement {i} is out of range [1, {n_layers - 1}] for this architecture"
-            )
     rows = ev.placement_ablation(run.train_cfg, set(args.placements), jobs=args.jobs)
-    ev.write_ablation_csv(rows, os.path.join(out, "ablation.csv"))
+    os.makedirs(run.output_dir, exist_ok=True)
+    ev.write_ablation_csv(rows, os.path.join(run.output_dir, "ablation.csv"))
     return EXIT_OK
 
 

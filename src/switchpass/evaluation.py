@@ -13,7 +13,7 @@ import numpy as np
 from . import data as dat
 from . import routing, training
 from .autograd import Tensor
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .model import SwitchedAutoencoder
 from .training import TrainConfig, format_float
 
@@ -205,16 +205,24 @@ def _ablation_row(base_cfg: TrainConfig, placement: int, dataset: dat.Dataset) -
 
 def placement_ablation(base_cfg: TrainConfig, placements, jobs: int = 1) -> list[AblationRow]:
     """One training run per block position, shared seed and data; jobs > 1
-    runs them in parallel worker processes with identical results."""
-    return _run_each(_ablation_row, base_cfg, sorted(int(i) for i in placements), jobs)
+    runs them in parallel worker processes with identical results. Every
+    placement is range-checked before any run starts."""
+    placements = sorted(int(i) for i in placements)
+    n_layers = len(base_cfg.dims) - 1
+    for i in placements:
+        if not 1 <= i <= n_layers - 1:
+            raise ConfigError(
+                f"placement {i} is out of range [1, {n_layers - 1}] for this architecture"
+            )
+    return _run_each(_ablation_row, base_cfg, placements, jobs)
 
 
 # --- difficulty probe --------------------------------------------------------
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def fit_probe(x: np.ndarray, y: np.ndarray, epochs: int = 300, lr: float = 0.05):

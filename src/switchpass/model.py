@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autograd as ag
 from . import nn, routing
 from .autograd import Tensor
 from .errors import ConfigError
@@ -61,10 +62,12 @@ class SwitchedAutoencoder:
         return self.mask.apply(self.prefix.forward(x), mode)
 
     def full_output(self, x: Tensor) -> Tensor:
-        return self.suffix.forward(self.masked_latent(x, "infer"))
+        with ag.no_grad():
+            return self.suffix.forward(self.masked_latent(x, "infer"))
 
     def light_output(self, x: Tensor) -> Tensor:
-        return self.light.forward(self.masked_latent(x, "infer"))
+        with ag.no_grad():
+            return self.light.forward(self.masked_latent(x, "infer"))
 
     def mixed_output(self, x: Tensor, tau: float):
         return routing.mixed_forward(
@@ -72,14 +75,16 @@ class SwitchedAutoencoder:
         )
 
     def switch_predictions(self, x: Tensor) -> np.ndarray:
-        return self.switch.predict(self.masked_latent(x, "infer")).data
+        with ag.no_grad():
+            return self.switch.predict(self.masked_latent(x, "infer")).data
 
     def switch_scatter(self, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
         """Switch predictions and the measured light-vs-full distances they
         estimate, per row of x."""
-        h = self.masked_latent(x, "infer")
-        predicted = self.switch.predict(h).data
-        actual = routing.pass_gap(self.light.forward(h), self.suffix.forward(h)).data
+        with ag.no_grad():
+            h = self.masked_latent(x, "infer")
+            predicted = self.switch.predict(h).data
+            actual = routing.pass_gap(self.light.forward(h), self.suffix.forward(h)).data
         return predicted, actual
 
     # Per-sample MAC cost of each strategy, by the out*in counting rule.

@@ -35,10 +35,7 @@ class DenseLayer:
         return self.weights.shape[0]
 
     def forward(self, x: Tensor) -> Tensor:
-        z = ag.add(ag.matmul(x, ag.transpose(self.weights)), self.bias)
-        if self.activation == "none":
-            return z
-        return ag.activation(z, self.activation)
+        return ag.dense(x, self.weights, self.bias, self.activation)
 
     def param_count(self) -> int:
         return self.out_dim * self.in_dim + self.out_dim

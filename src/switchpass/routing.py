@@ -213,18 +213,16 @@ def mixed_forward(
 
     Computes the hard-masked activation once, asks the switch for a predicted
     distance per sample, and runs the lightweight decoder on the rows below
-    tau and the full suffix on the rest.
+    tau (the `route` rule) and the full suffix on the rest. Builds no graph.
     """
-    h = mask.apply(prefix.forward(x), "infer")
-    preds = switch.predict(h).data
-    decisions = [route(p, tau) for p in preds]
-    light_rows = np.array([d.kind == LIGHT for d in decisions], dtype=bool)
-
-    out = np.empty((x.shape[0], suffix.output_dim))
-    if light_rows.any():
-        sub = Tensor(np.ascontiguousarray(h.data[light_rows]))
-        out[light_rows] = lwd.forward(sub).data
-    if (~light_rows).any():
-        sub = Tensor(np.ascontiguousarray(h.data[~light_rows]))
-        out[~light_rows] = suffix.forward(sub).data
+    with ag.no_grad():
+        h = mask.apply(prefix.forward(x), "infer")
+        preds = switch.predict(h).data
+        light = preds < tau
+        out = np.empty((x.shape[0], suffix.output_dim))
+        for net, rows in ((lwd, np.flatnonzero(light)), (suffix, np.flatnonzero(~light))):
+            if rows.size:
+                out[rows] = net.forward(Tensor(h.data.take(rows, axis=0))).data
+    decisions = [RouteDecision(kind=LIGHT if is_light else FULL, predicted=p)
+                 for is_light, p in zip(light.tolist(), preds.tolist())]
     return Tensor(out), decisions

@@ -111,7 +111,7 @@ class TestElementwise:
 
 class TestActivations:
     def test_relu_values(self):
-        out = ag.activation(Tensor([-1.0, 0.0, 2.0]), "relu")
+        out = ag.relu(Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_relu_gradient_zero_at_zero(self):
@@ -120,7 +120,7 @@ class TestActivations:
         assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_tanh_at_zero(self):
-        assert ag.activation(Tensor([0.0]), "tanh").data[0] == 0.0
+        assert ag.tanh(Tensor([0.0])).data[0] == 0.0
 
     def test_tanh_gradient_matches_finite_difference(self):
         x = Tensor([0.5], requires_grad=True)
@@ -144,8 +144,105 @@ class TestActivations:
         assert rel_err(x.grad, fd) < 1e-5
 
     def test_unknown_kind(self):
+        # Layers select their activation by name through dense.
         with pytest.raises(ContractError):
-            ag.activation(Tensor([1.0]), "gelu")
+            ag.dense(Tensor([[1.0]]), Tensor([[1.0]]), Tensor([0.0]), "gelu")
+
+
+def four_node_dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
+    """A dense layer as the chain transpose, matmul, bias add, activation."""
+    wt = ag._track(w.data.T, (w,), lambda g: (g.T,))
+    z = ag.add(ag.matmul(x, wt), b)
+    return {"none": lambda t: t, "relu": ag.relu, "tanh": ag.tanh}[act](z)
+
+
+class TestDense:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from(["none", "relu", "tanh"]), st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_four_node_chain(self, m, k, n, act, seed):
+        rng = np.random.default_rng(seed)
+        arrays = (rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k)),
+                  rng.uniform(-1, 1, n))
+        c = Tensor(rng.uniform(-1, 1, (m, n)))
+        results = []
+        for layer in (ag.dense, four_node_dense):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = layer(x, w, b, act)
+            ag.backward(ag.reduce(ag.mul(out, c), "sum"))
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for fused, chain in zip(*results):
+            assert fused.tobytes() == chain.tobytes()
+
+    def test_untracked_input_gets_no_gradient(self):
+        x = Tensor(RNG.uniform(-1, 1, (3, 4)))
+        w = Tensor(RNG.uniform(-1, 1, (2, 4)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        ag.backward(ag.reduce(ag.dense(x, w, b, "tanh"), "sum"))
+        assert x.grad is None
+        assert w.grad.shape == (2, 4) and b.grad.shape == (2,)
+
+    def test_relu_gradient_zero_at_zero(self):
+        x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
+        w = Tensor(np.eye(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        out = ag.dense(x, w, b, "relu")
+        assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
+        ag.backward(ag.reduce(out, "sum"))
+        assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
+        assert np.array_equal(b.grad, [0.0, 0.0, 1.0])
+
+    def test_tanh_at_zero(self):
+        out = ag.dense(Tensor(np.zeros((2, 3))), Tensor(np.ones((4, 3))), Tensor(np.zeros(4)),
+                       "tanh")
+        assert np.array_equal(out.data, np.zeros((2, 4)))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            ag.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))
+        with pytest.raises(DimensionError):
+            ag.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+
+    def test_mac_counter(self):
+        x, w, b = Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3))), Tensor(np.zeros(4))
+        with MacCounter() as counter:
+            ag.dense(x, w, b)
+            ag.dense(x, w, b, "relu")
+        assert counter.total == 2 * 5 * 3 * 4
+
+
+class TestNoGrad:
+    def test_outputs_are_untracked(self):
+        a = Tensor(RNG.uniform(-1, 1, (3, 2)), requires_grad=True)
+        w = Tensor(RNG.uniform(-1, 1, (4, 2)), requires_grad=True)
+        with ag.no_grad():
+            outs = [ag.mul(a, a), ag.softplus(a), ag.reduce(a, "sum"),
+                    ag.dense(a, w, Tensor(np.zeros(4)), "relu")]
+        for out in outs:
+            assert out.requires_grad is False
+            assert out._parents == ()
+        assert ag.mul(a, a).requires_grad
+
+    def test_values_match_tracked_ops(self):
+        a = Tensor(RNG.uniform(-3, 3, (4, 5)), requires_grad=True)
+        with ag.no_grad():
+            untracked = ag.softplus(ag.tanh(a)).data
+        assert untracked.tobytes() == ag.softplus(ag.tanh(a)).data.tobytes()
+
+    def test_flag_restored_when_body_raises(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ag.no_grad():
+                raise RuntimeError("boom")
+        assert ag.mul(a, a).requires_grad
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        with ag.no_grad():
+            with ag.no_grad():
+                pass
+            assert not ag.mul(a, a).requires_grad
+        assert ag.mul(a, a).requires_grad
 
 
 class TestReduce:
@@ -244,13 +341,6 @@ class TestDetach:
 
 
 class TestOtherOps:
-    def test_transpose_roundtrip_and_grad(self):
-        x = Tensor(RNG.uniform(-2, 2, (3, 5)), requires_grad=True)
-        out = ag.transpose(ag.transpose(x))
-        assert np.array_equal(out.data, x.data)
-        ag.backward(ag.reduce(ag.transpose(x), "sq_l2"))
-        assert rel_err(x.grad, 2 * x.data) < 1e-12
-
     def test_reshape_grad_passthrough(self):
         x = Tensor(RNG.uniform(-2, 2, (2, 6)), requires_grad=True)
         ag.backward(ag.reduce(ag.reshape(x, (12,)), "sq_l2"))

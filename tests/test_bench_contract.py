@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchpass import routing
+from switchpass import autograd as ag
+from switchpass import data as dat
+from switchpass import evaluation as ev
+from switchpass import nn, routing
 from switchpass.autograd import Tensor
 from switchpass.model import SwitchedAutoencoder
 
@@ -38,3 +41,28 @@ def test_mixed_output_decisions_have_kind():
     kinds = [d.kind for d in decisions]
     assert len(kinds) == 6
     assert set(kinds) == {routing.LIGHT, routing.FULL}
+
+
+def test_route_macs_per_row_match_the_analytic_counts():
+    # The benchmark's macs_per_row counts each route under ag.MacCounter.
+    spec = dat.SignalSpec(frame_len=16, seed=3)
+    frames = dat.gen_easy(spec, 20) + dat.gen_hard(spec, 12)
+    model = SwitchedAutoencoder([16, 8, 12, 16], ["tanh", "tanh", "none"],
+                                routing.SwitchConfig(rho=0.5), seed=4)
+    x = Tensor(dat.frames_to_matrix(frames))
+    tau = float(np.median(model.switch_predictions(x)))
+    n = x.shape[0]
+    expected = {
+        "full": nn.mac_count(model.prefix) + nn.mac_count(model.suffix),
+        "light": nn.mac_count(model.prefix) + nn.mac_count(model.light),
+        "mixed": ev.routing_stats(model, frames, tau).expected_macs_mixed,
+    }
+    passes = {
+        "full": lambda: model.full_output(x),
+        "light": lambda: model.light_output(x),
+        "mixed": lambda: model.mixed_output(x, tau),
+    }
+    for route, run in passes.items():
+        with ag.MacCounter() as counter:
+            run()
+        assert counter.total / n == expected[route], route

@@ -36,6 +36,14 @@ def workdir(tmp_path):
     return tmp_path, path
 
 
+def redirect_output(config, tmp_path):
+    """Points the config's output_dir at a directory that does not exist."""
+    doc = json.loads(config.read_text())
+    doc["output_dir"] = str(tmp_path / "never")
+    config.write_text(json.dumps(doc))
+    return tmp_path / "never"
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = cli.main(["train", str(tmp_path / "nope.json")])
     assert code == 2
@@ -182,6 +190,12 @@ class TestEval:
         assert cli.main(["eval", str(config), str(ckpt)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_rejected_eval_creates_no_output_dir(self, trained):
+        tmp_path, config, ckpt = trained
+        out = redirect_output(config, tmp_path)
+        assert cli.main(["eval", str(config), str(ckpt), "--tau", "-1"]) == 2
+        assert not out.exists()
+
     def test_corrupt_checkpoint_exits_4(self, trained):
         tmp_path, config, ckpt = trained
         bad = tmp_path / "bad.json"
@@ -212,6 +226,12 @@ class TestSweep:
         assert cli.main(["sweep-beta", str(config), "--betas", "-0.1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_rejected_sweep_creates_no_output_dir(self, workdir):
+        tmp_path, config = workdir
+        out = redirect_output(config, tmp_path)
+        assert cli.main(["sweep-beta", str(config), "--betas", "-1"]) == 2
+        assert not out.exists()
+
     def test_empty_betas_exits_2(self, workdir):
         tmp_path, config = workdir
         assert cli.main(["sweep-beta", str(config), "--betas"]) == 2
@@ -233,6 +253,12 @@ class TestAblate:
         tmp_path, config = workdir
         assert cli.main(["ablate-placement", str(config), "--placements", "9"]) == 2
         assert "9" in capsys.readouterr().err
+
+    def test_rejected_ablation_creates_no_output_dir(self, workdir):
+        tmp_path, config = workdir
+        out = redirect_output(config, tmp_path)
+        assert cli.main(["ablate-placement", str(config), "--placements", "1", "9"]) == 2
+        assert not out.exists()
 
     def test_single_placement_single_row(self, workdir):
         tmp_path, config = workdir

@@ -5,7 +5,7 @@ from switchpass import data as dat
 from switchpass import evaluation as ev
 from switchpass import routing, training
 from switchpass.autograd import MacCounter, Tensor
-from switchpass.errors import ContractError
+from switchpass.errors import ConfigError, ContractError
 from switchpass.model import SwitchedAutoencoder
 
 from test_training import tiny_config
@@ -138,6 +138,13 @@ class TestPlacementAblation:
         rows = ev.placement_ablation(cfg, [1])
         assert len(rows) == 1
         assert rows[0].placement == 1
+
+    def test_out_of_range_placement_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ConfigError, match="placement 9"):
+            ev.placement_ablation(tiny_config(epochs=1), [1, 9])
+        assert calls == []
 
     def test_prefix_mac_share_strictly_increasing(self):
         cfg = tiny_config(epochs=1)

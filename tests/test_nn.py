@@ -31,8 +31,8 @@ class TestForward:
         net = random_net([5, 4, 3], seed=3)
         x = Tensor(RNG.uniform(-1, 1, (6, 5)))
         l0, l1 = net.layers
-        h = ag.tanh(ag.add(ag.matmul(x, ag.transpose(l0.weights)), l0.bias))
-        expected = ag.add(ag.matmul(h, ag.transpose(l1.weights)), l1.bias)
+        h = ag.tanh(ag.add(ag.matmul(x, Tensor(l0.weights.data.T)), l0.bias))
+        expected = ag.add(ag.matmul(h, Tensor(l1.weights.data.T)), l1.bias)
         assert np.array_equal(net.forward(x).data, expected.data)
 
     def test_width_mismatch(self):

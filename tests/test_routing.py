@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchpass import autograd as ag
 from switchpass import nn, routing
 from switchpass.autograd import MacCounter, Tensor
 from switchpass.errors import ConfigError, ContractError, DimensionError
+from switchpass.model import SwitchedAutoencoder
 
 RNG = np.random.default_rng(41)
 
@@ -320,3 +323,37 @@ class TestMixedForward:
             light_set = {i for i, d in enumerate(decisions) if d.kind == routing.LIGHT}
             assert previous <= light_set
             previous = light_set
+
+
+class TestMixedOutputProperties:
+    MODEL = SwitchedAutoencoder([8, 6, 5, 8], ["tanh", "relu", "none"],
+                                routing.SwitchConfig(rho=0.5), seed=17)
+    POOL = np.random.default_rng(5).uniform(-1, 1, (64, 8))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 63), min_size=1, max_size=40), st.floats(0.0, 1.0))
+    def test_each_row_equals_its_single_row_pass(self, rows, fraction):
+        model = self.MODEL
+        x = Tensor(self.POOL[rows])
+        tau = float(np.quantile(model.switch_predictions(x), fraction))
+        out, decisions = model.mixed_output(x, tau)
+        assert len(decisions) == len(rows)
+        for i, decision in enumerate(decisions):
+            xi = Tensor(x.data[i:i + 1])
+            assert decision.kind == routing.route(model.switch_predictions(xi)[0], tau).kind
+            single = model.light_output(xi) if decision.kind == routing.LIGHT \
+                else model.full_output(xi)
+            assert out.data[i].tobytes() == single.data[0].tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 64))
+    def test_inference_outputs_build_no_graph(self, n):
+        model = self.MODEL
+        x = Tensor(self.POOL[:n])
+        tau = float(np.median(model.switch_predictions(x)))
+        outs = [model.full_output(x), model.light_output(x), model.mixed_output(x, tau)[0]]
+        for out in outs:
+            assert out.requires_grad is False
+            assert out._parents == ()
+        # Training-mode forwards still build the graph.
+        assert model.masked_latent(x, "train").requires_grad
