@@ -13,8 +13,8 @@ import numpy as np
 from . import data as dat
 from . import routing, training
 from .autograd import Tensor
-from .errors import ConfigError, ContractError
-from .model import SwitchedAutoencoder
+from .errors import ContractError
+from .model import SwitchedAutoencoder, check_placement
 from .training import TrainConfig, format_float
 
 
@@ -208,12 +208,8 @@ def placement_ablation(base_cfg: TrainConfig, placements, jobs: int = 1) -> list
     runs them in parallel worker processes with identical results. Every
     placement is range-checked before any run starts."""
     placements = sorted(int(i) for i in placements)
-    n_layers = len(base_cfg.dims) - 1
     for i in placements:
-        if not 1 <= i <= n_layers - 1:
-            raise ConfigError(
-                f"placement {i} is out of range [1, {n_layers - 1}] for this architecture"
-            )
+        check_placement(i, base_cfg.dims)
     return _run_each(_ablation_row, base_cfg, placements, jobs)
 
 

@@ -17,6 +17,16 @@ def derive_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, stream)).generate_state(1, dtype=np.uint64)[0])
 
 
+def check_placement(placement: int, dims) -> None:
+    """The block needs at least one layer of the dims network on each side."""
+    n_layers = len(dims) - 1
+    if not 1 <= placement <= n_layers - 1:
+        raise ConfigError(
+            f"placement {placement} is out of range [1, {n_layers - 1}]: the block needs "
+            f"at least one layer on each side of a {n_layers}-layer network"
+        )
+
+
 class SwitchedAutoencoder:
     """A splittable dense autoencoder plus mask, switch, and light decoder.
 
@@ -26,11 +36,7 @@ class SwitchedAutoencoder:
     """
 
     def __init__(self, dims, activations, cfg: routing.SwitchConfig, seed: int):
-        if not 1 <= cfg.placement <= len(dims) - 2:
-            raise ConfigError(
-                f"placement {cfg.placement} must leave at least one layer on each side "
-                f"of a {len(dims) - 1}-layer network"
-            )
+        check_placement(cfg.placement, dims)
         self.dims = list(dims)
         self.activations = list(activations)
         self.cfg = cfg

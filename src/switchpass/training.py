@@ -10,6 +10,9 @@ backward pass per batch covers everything.
 from __future__ import annotations
 
 import json
+import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,22 +24,23 @@ from .autograd import Tensor
 from .errors import ConfigError, FormatError, TrainingError
 from .model import SwitchedAutoencoder, derive_seed, _SHUFFLE
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Column order of metrics.csv (l_total is kept in the checkpoint history only).
 METRICS_CSV_HEADER = "epoch,l_recon,l_switch,l_lwd,l_comp,sparsity,switch_mae"
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Bias-corrected Adam moments for a fixed set of named parameters."""
 
-    def __init__(self, named_params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, t: int = 0):
+    def __init__(self, named_params, lr: float = 1e-3):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.t = int(t)
+        self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in named_params}
 
@@ -44,7 +48,7 @@ class AdamState:
 def adam_step(named_params, state: AdamState) -> None:
     """One update over all parameters; grads must already be accumulated."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in named_params:
@@ -59,7 +63,7 @@ def adam_step(named_params, state: AdamState) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -149,9 +153,7 @@ def switch_mae(model: SwitchedAutoencoder, frames) -> float:
 class Checkpoint:
     epoch: int
     params: dict[str, np.ndarray]
-    adam: dict
     metrics: list[dict]
-    format_version: int = CHECKPOINT_FORMAT_VERSION
 
 
 @dataclass
@@ -162,19 +164,9 @@ class TrainResult:
     metrics: list[dict]
 
 
-def _snapshot(model: SwitchedAutoencoder, state: AdamState, epoch: int,
-              metrics: list[dict]) -> Checkpoint:
-    return Checkpoint(
-        epoch=epoch,
-        params=model.state_arrays(),
-        adam={
-            "lr": state.lr, "beta1": state.beta1, "beta2": state.beta2,
-            "eps": state.eps, "t": state.t,
-            "m": {k: v.copy() for k, v in state.m.items()},
-            "v": {k: v.copy() for k, v in state.v.items()},
-        },
-        metrics=[dict(m) for m in metrics],
-    )
+def _snapshot(model: SwitchedAutoencoder, epoch: int, metrics: list[dict]) -> Checkpoint:
+    return Checkpoint(epoch=epoch, params=model.state_arrays(),
+                      metrics=[dict(m) for m in metrics])
 
 
 def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
@@ -194,7 +186,7 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
     train_mat = dat.frames_to_matrix(dataset.train)
     n = train_mat.shape[0]
     metrics: list[dict] = []
-    checkpoints = [_snapshot(model, state, 0, metrics)]
+    checkpoints = [_snapshot(model, 0, metrics)]
     cadence = cfg.cadence()
 
     for epoch in range(1, cfg.epochs + 1):
@@ -221,9 +213,9 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
         row["switch_mae"] = switch_mae(model, dataset.calibrate) if dataset.calibrate else 0.0
         metrics.append(row)
         if epoch % cadence == 0 and epoch != cfg.epochs:
-            checkpoints.append(_snapshot(model, state, epoch, metrics))
+            checkpoints.append(_snapshot(model, epoch, metrics))
     if cfg.epochs > 0:
-        checkpoints.append(_snapshot(model, state, cfg.epochs, metrics))
+        checkpoints.append(_snapshot(model, cfg.epochs, metrics))
     return TrainResult(model=model, dataset=dataset, checkpoints=checkpoints, metrics=metrics)
 
 
@@ -240,12 +232,19 @@ def _array_doc(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "values": [float(v) for v in arr.ravel()]}
 
 
+def _finite_number(v) -> bool:
+    # JSON true/false/null and strings are not parameter values (bool is an int).
+    if type(v) is int:
+        return abs(v) <= sys.float_info.max
+    return type(v) is float and math.isfinite(v)
+
+
 def _doc_array(doc, path: str) -> np.ndarray:
     if not isinstance(doc, dict) or set(doc) != {"shape", "values"}:
         raise FormatError(f"checkpoint field {path}: expected an array document")
     shape = doc["shape"]
     values = doc["values"]
-    if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise FormatError(f"checkpoint field {path}.shape: invalid shape {shape!r}")
     expected = int(np.prod(shape)) if shape else 1
     if not isinstance(values, list) or len(values) != expected:
@@ -253,26 +252,30 @@ def _doc_array(doc, path: str) -> np.ndarray:
             f"checkpoint field {path}.values: expected {expected} values, "
             f"got {len(values) if isinstance(values, list) else type(values).__name__}"
         )
+    if not all(map(_finite_number, values)):
+        raise FormatError(f"checkpoint field {path}.values: expected finite numbers")
     return np.array(values, dtype=np.float64).reshape(shape)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Writes the document to a temporary file beside path and renames it
+    over path, so a failed write leaves any previous file intact."""
     doc = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "epoch": ckpt.epoch,
         "params": {k: _array_doc(v) for k, v in ckpt.params.items()},
-        "adam": {
-            "lr": ckpt.adam["lr"], "beta1": ckpt.adam["beta1"],
-            "beta2": ckpt.adam["beta2"], "eps": ckpt.adam["eps"],
-            "t": ckpt.adam["t"],
-            "m": {k: _array_doc(v) for k, v in ckpt.adam["m"].items()},
-            "v": {k: _array_doc(v) for k, v in ckpt.adam["v"].items()},
-        },
         "metrics": ckpt.metrics,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -291,29 +294,17 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint field format_version: got {version!r}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    for key in ("epoch", "params", "adam", "metrics"):
+    for key in ("epoch", "params", "metrics"):
         if key not in doc:
             raise FormatError(f"checkpoint field {key}: missing")
-    if not isinstance(doc["epoch"], int):
+    if type(doc["epoch"]) is not int:
         raise FormatError(f"checkpoint field epoch: expected integer, got {doc['epoch']!r}")
+    if not isinstance(doc["params"], dict):
+        raise FormatError("checkpoint field params: expected an object")
     params = {k: _doc_array(v, f"params.{k}") for k, v in doc["params"].items()}
-    adam_doc = doc["adam"]
-    for key in ("lr", "beta1", "beta2", "eps", "t", "m", "v"):
-        if key not in adam_doc:
-            raise FormatError(f"checkpoint field adam.{key}: missing")
-    adam = {
-        "lr": float(adam_doc["lr"]), "beta1": float(adam_doc["beta1"]),
-        "beta2": float(adam_doc["beta2"]), "eps": float(adam_doc["eps"]),
-        "t": int(adam_doc["t"]),
-        "m": {k: _doc_array(v, f"adam.m.{k}") for k, v in adam_doc["m"].items()},
-        "v": {k: _doc_array(v, f"adam.v.{k}") for k, v in adam_doc["v"].items()},
-    }
     if not isinstance(doc["metrics"], list):
         raise FormatError("checkpoint field metrics: expected a list")
-    return Checkpoint(
-        epoch=doc["epoch"], params=params, adam=adam,
-        metrics=doc["metrics"], format_version=version,
-    )
+    return Checkpoint(epoch=doc["epoch"], params=params, metrics=doc["metrics"])
 
 
 def format_float(x) -> str:

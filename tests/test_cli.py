@@ -202,6 +202,24 @@ class TestEval:
         bad.write_text(ckpt.read_text()[:100])
         assert cli.main(["eval", str(config), str(bad)]) == 4
 
+    def test_null_mask_weights_exit_4(self, trained, capsys):
+        tmp_path, config, ckpt = trained
+        doc = json.loads(ckpt.read_text())
+        doc["params"]["mask.w"]["values"] = [None] * len(doc["params"]["mask.w"]["values"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["eval", str(config), str(bad), "--tau", "0.1"]) == 4
+        assert "error: checkpoint field params.mask.w.values" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_exits_4(self, trained, capsys):
+        tmp_path, config, ckpt = trained
+        doc = json.loads(ckpt.read_text())
+        doc["format_version"] = 1
+        bad = tmp_path / "v1.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["eval", str(config), str(bad)]) == 4
+        assert "error: checkpoint field format_version" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_5(self, trained):
         tmp_path, config, _ = trained
         assert cli.main(["eval", str(config), str(tmp_path / "nope.json")]) == 5

@@ -146,6 +146,16 @@ class TestPlacementAblation:
             ev.placement_ablation(tiny_config(epochs=1), [1, 9])
         assert calls == []
 
+    @pytest.mark.parametrize("placement", [0, 3])
+    def test_model_and_ablation_reject_with_one_message(self, placement):
+        cfg = tiny_config(epochs=1)  # dims [16, 8, 12, 16]: placements 1 and 2 fit
+        dsl = routing.SwitchConfig(placement=placement, rho=0.5)
+        with pytest.raises(ConfigError, match=f"placement {placement}") as from_model:
+            SwitchedAutoencoder(cfg.dims, cfg.activations, dsl, cfg.seed)
+        with pytest.raises(ConfigError) as from_ablation:
+            ev.placement_ablation(cfg, [placement])
+        assert str(from_ablation.value) == str(from_model.value)
+
     def test_prefix_mac_share_strictly_increasing(self):
         cfg = tiny_config(epochs=1)
         cfg.dims = [16, 12, 10, 8, 16]

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -190,6 +191,13 @@ class TestTrainLoop:
 
 
 class TestCheckpointPersistence:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        """A one-epoch checkpoint on disk and its parsed document."""
+        path = tmp_path / "ckpt.json"
+        training.save_checkpoint(training.train(tiny_config(epochs=1)).checkpoints[-1], path)
+        return path, json.loads(path.read_text())
+
     def test_save_load_roundtrip_equal(self, tmp_path):
         result = training.train(tiny_config())
         ckpt = result.checkpoints[-1]
@@ -197,10 +205,8 @@ class TestCheckpointPersistence:
         training.save_checkpoint(ckpt, path)
         loaded = training.load_checkpoint(path)
         assert loaded.epoch == ckpt.epoch
-        assert loaded.adam["t"] == ckpt.adam["t"]
         for name in ckpt.params:
             assert np.array_equal(loaded.params[name], ckpt.params[name])
-            assert np.array_equal(loaded.adam["m"][name], ckpt.adam["m"][name])
         assert loaded.metrics == ckpt.metrics
 
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -210,38 +216,75 @@ class TestCheckpointPersistence:
         training.save_checkpoint(training.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_truncated_file_rejected(self, tmp_path):
-        result = training.train(tiny_config(epochs=1))
-        path = tmp_path / "ckpt.json"
-        training.save_checkpoint(result.checkpoints[-1], path)
+    def test_truncated_file_rejected(self, saved):
+        path, _ = saved
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             training.load_checkpoint(path)
 
-    def test_corrupt_field_names_path(self, tmp_path):
-        import json
-
-        result = training.train(tiny_config(epochs=1))
-        path = tmp_path / "ckpt.json"
-        training.save_checkpoint(result.checkpoints[-1], path)
-        doc = json.loads(path.read_text())
+    def test_corrupt_field_names_path(self, saved):
+        path, doc = saved
         doc["params"]["mask.w"]["values"] = doc["params"]["mask.w"]["values"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=r"params\.mask\.w"):
             training.load_checkpoint(path)
 
-    def test_version_mismatch(self, tmp_path):
-        import json
-
-        result = training.train(tiny_config(epochs=1))
-        path = tmp_path / "ckpt.json"
-        training.save_checkpoint(result.checkpoints[-1], path)
-        doc = json.loads(path.read_text())
+    def test_version_mismatch(self, saved):
+        path, doc = saved
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="format_version"):
             training.load_checkpoint(path)
+
+    def test_document_holds_only_what_is_read_back(self, saved):
+        _, doc = saved
+        assert set(doc) == {"format_version", "epoch", "params", "metrics"}
+        assert doc["format_version"] == 2
+
+    def test_version_1_with_adam_block_rejected(self, saved):
+        path, doc = saved
+        zeros = {k: {"shape": v["shape"], "values": [0.0] * len(v["values"])}
+                 for k, v in doc["params"].items()}
+        doc["format_version"] = 1
+        doc["adam"] = {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "t": 0,
+                       "m": zeros, "v": zeros}
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        with pytest.raises(FormatError, match="format_version"):
+            training.load_checkpoint(path)
+
+    def test_params_not_an_object_rejected(self, saved):
+        path, doc = saved
+        doc["params"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="field params: expected an object"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["x", None, True, float("inf"), 10 ** 400],
+                             ids=["string", "null", "true", "infinity", "huge-int"])
+    def test_non_finite_number_names_field(self, saved, value):
+        path, doc = saved
+        doc["params"]["mask.w"]["values"][0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"params\.mask\.w\.values"):
+            training.load_checkpoint(path)
+
+    def test_integer_value_loads_as_float(self, saved):
+        path, doc = saved
+        doc["params"]["mask.w"]["values"][0] = 2
+        path.write_text(json.dumps(doc))
+        assert training.load_checkpoint(path).params["mask.w"][0] == 2.0
+
+    def test_failed_save_keeps_previous_file(self, saved):
+        path, _ = saved
+        before = path.read_bytes()
+        # The parameters are dumped before the metrics, so the failure is mid-write.
+        bad = training.Checkpoint(epoch=1, params=training.load_checkpoint(path).params,
+                                  metrics=[{"epoch": 1, "l_recon": object()}])
+        with pytest.raises(TypeError):
+            training.save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["ckpt.json"]
 
     def test_forward_pass_preserved_bitwise(self, tmp_path):
         cfg = tiny_config()
