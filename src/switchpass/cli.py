@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Commands: train, eval, sweep-beta, ablate-placement, gen-data. All outputs
-land under the config's output_dir with stable filenames. Exit codes:
-0 success, 2 usage or config error, 3 training divergence, 4 file format
-error, 5 I/O error.
+land under the config's output_dir with stable filenames, each written
+through output.write_atomic. Exit codes: 0 success, 2 usage or config
+error, 3 training divergence, 4 file format error, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import routing, training
 from .autograd import Tensor
 from .config import RunConfig, check_routing_inputs, load_run_config
 from .errors import ConfigError, ContractError, FormatError, TrainingError
+from .output import write_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,12 +39,6 @@ def _load(config_path: str, seed_override: int | None) -> RunConfig:
     return run
 
 
-def _write_summary(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_train(args) -> int:
     run = _load(args.config, args.seed)
     out = run.output_dir
@@ -51,9 +46,11 @@ def cmd_train(args) -> int:
     result = training.train(run.train_cfg)
 
     training.write_metrics_csv(result.metrics, os.path.join(out, "metrics.csv"))
+    # The last checkpoint is the final one: its text is written again, not re-serialized.
     for ckpt in result.checkpoints:
-        training.save_checkpoint(ckpt, os.path.join(out, f"checkpoint_epoch_{ckpt.epoch:04d}.json"))
-    training.save_checkpoint(result.checkpoints[-1], os.path.join(out, "checkpoint_final.json"))
+        text = training.save_checkpoint(
+            ckpt, os.path.join(out, f"checkpoint_epoch_{ckpt.epoch:04d}.json"))
+    write_atomic(os.path.join(out, "checkpoint_final.json"), text)
 
     if len(result.checkpoints) >= 2 and result.dataset.calibrate:
         points = ev.calibration_progress(run.train_cfg, result.checkpoints,
@@ -62,13 +59,13 @@ def cmd_train(args) -> int:
                                  os.path.join(out, "calibration_scatter.csv"))
 
     final = result.metrics[-1] if result.metrics else {}
-    _write_summary(os.path.join(out, "summary.json"), {
+    write_atomic(os.path.join(out, "summary.json"), json.dumps({
         "command": "train",
         "epochs": run.train_cfg.epochs,
         "seed": run.train_cfg.seed,
         "checkpoints": len(result.checkpoints),
         "final_metrics": final,
-    })
+    }, indent=1, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -107,7 +104,7 @@ def cmd_eval(args) -> int:
     probe = ev.downstream_probe(model, dataset, tau)
     ev.write_probe_csv(probe, os.path.join(out, "probe.csv"))
 
-    _write_summary(os.path.join(out, "summary.json"), {
+    write_atomic(os.path.join(out, "eval_summary.json"), json.dumps({
         "command": "eval",
         "checkpoint_epoch": ckpt.epoch,
         "tau": tau,
@@ -115,7 +112,7 @@ def cmd_eval(args) -> int:
         "mse": {k: {"full": v.mse_full, "light": v.mse_light, "mixed": v.mse_mixed}
                 for k, v in parity.items()},
         "probe": {"full": probe.acc_full, "light": probe.acc_light, "mixed": probe.acc_mixed},
-    })
+    }, indent=1, sort_keys=True) + "\n")
     return EXIT_OK
 
 

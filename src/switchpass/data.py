@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError
+from .output import write_atomic
 
 EASY = "easy"
 HARD = "hard"
@@ -209,12 +210,8 @@ def write_wav(path, samples: np.ndarray) -> None:
     """Writes mono 16-bit PCM; values are clipped then scaled by 32768."""
     q = np.clip(np.round(np.asarray(samples, dtype=np.float64) * 32768.0), -32768, 32767)
     pcm = q.astype("<i2").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF")
-        fh.write(struct.pack("<I", 36 + len(pcm)))
-        fh.write(b"WAVE")
-        fh.write(b"fmt ")
-        fh.write(struct.pack("<IHHIIHH", 16, 1, 1, WAV_RATE, WAV_RATE * 2, 2, 16))
-        fh.write(b"data")
-        fh.write(struct.pack("<I", len(pcm)))
-        fh.write(pcm)
+    write_atomic(path, b"".join([
+        b"RIFF", struct.pack("<I", 36 + len(pcm)), b"WAVE",
+        b"fmt ", struct.pack("<IHHIIHH", 16, 1, 1, WAV_RATE, WAV_RATE * 2, 2, 16),
+        b"data", struct.pack("<I", len(pcm)), pcm,
+    ]))

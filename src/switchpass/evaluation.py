@@ -15,7 +15,8 @@ from . import routing, training
 from .autograd import Tensor
 from .errors import ContractError
 from .model import SwitchedAutoencoder, check_placement
-from .training import TrainConfig, format_float
+from .output import write_csv
+from .training import TrainConfig
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
@@ -138,8 +139,8 @@ def _sweep_point(base_cfg: TrainConfig, beta: float, dataset: dat.Dataset) -> Sp
     cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, beta=beta))
     result = training.train(cfg, dataset=dataset)
     l_recon = result.metrics[-1]["l_recon"] if result.metrics else float("nan")
-    return SparsityCurvePoint(beta=beta, sparsity=routing.activation_sparsity(result.model.mask),
-                              l_recon=l_recon)
+    sparsity = routing.activation_sparsity(result.model.mask)
+    return SparsityCurvePoint(beta=float(beta), sparsity=sparsity, l_recon=l_recon)
 
 
 def sparsity_sweep(base_cfg: TrainConfig, betas, jobs: int = 1) -> list[SparsityCurvePoint]:
@@ -284,63 +285,40 @@ def downstream_probe(model: SwitchedAutoencoder, dataset: dat.Dataset,
 
 
 def write_routing_csv(report: RoutingReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("difficulty,n,light,full,light_fraction,tau,"
-                 "expected_macs_mixed,macs_full_only,macs_light_only\n")
-        for tag in sorted(report.counts):
-            slot = report.counts[tag]
-            n = slot[routing.LIGHT] + slot[routing.FULL]
-            fh.write(",".join([
-                tag, str(n), str(slot[routing.LIGHT]), str(slot[routing.FULL]),
-                format_float(report.light_fraction[tag]), format_float(report.tau),
-                format_float(report.expected_macs_mixed),
-                str(report.macs_full_only), str(report.macs_light_only),
-            ]) + "\n")
+    write_csv(path, ("difficulty", "n", "light", "full", "light_fraction", "tau",
+                     "expected_macs_mixed", "macs_full_only", "macs_light_only"), (
+        (tag, slot[routing.LIGHT] + slot[routing.FULL], slot[routing.LIGHT],
+         slot[routing.FULL], report.light_fraction[tag], report.tau,
+         report.expected_macs_mixed, report.macs_full_only, report.macs_light_only)
+        for tag, slot in sorted(report.counts.items())
+    ))
 
 
 def write_parity_csv(reports: dict[str, ParityReport], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("scope,mse_full,mse_light,mse_mixed\n")
-        for scope in sorted(reports):
-            r = reports[scope]
-            fh.write(",".join([scope, format_float(r.mse_full), format_float(r.mse_light),
-                               format_float(r.mse_mixed)]) + "\n")
+    write_csv(path, ("scope", "mse_full", "mse_light", "mse_mixed"), (
+        (scope, r.mse_full, r.mse_light, r.mse_mixed) for scope, r in sorted(reports.items())
+    ))
 
 
 def write_sparsity_csv(points: list[SparsityCurvePoint], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("beta,sparsity,l_recon\n")
-        for p in points:
-            fh.write(",".join([format_float(p.beta), format_float(p.sparsity),
-                               format_float(p.l_recon)]) + "\n")
+    write_csv(path, ("beta", "sparsity", "l_recon"),
+              ((p.beta, p.sparsity, p.l_recon) for p in points))
 
 
-def write_calibration_csv(points: list[CalibrationPoint], path, scatter_path=None) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,switch_mae,pearson_r,degenerate\n")
-        for p in points:
-            fh.write(",".join([str(p.epoch), format_float(p.mae), format_float(p.pearson_r),
-                               str(int(p.degenerate))]) + "\n")
-    if scatter_path is not None:
-        with open(scatter_path, "w") as fh:
-            fh.write("epoch,predicted,actual\n")
-            for p in points:
-                for pred, act in zip(p.predicted, p.actual):
-                    fh.write(f"{p.epoch},{format_float(pred)},{format_float(act)}\n")
+def write_calibration_csv(points: list[CalibrationPoint], path, scatter_path) -> None:
+    write_csv(path, ("epoch", "switch_mae", "pearson_r", "degenerate"),
+              ((p.epoch, p.mae, p.pearson_r, int(p.degenerate)) for p in points))
+    write_csv(scatter_path, ("epoch", "predicted", "actual"), (
+        (p.epoch, pred, act) for p in points for pred, act in zip(p.predicted, p.actual)
+    ))
 
 
 def write_ablation_csv(rows: list[AblationRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("placement,pearson_r,switch_mae,prefix_mac_share\n")
-        for row in rows:
-            fh.write(",".join([str(row.placement), format_float(row.pearson_r),
-                               format_float(row.mae),
-                               format_float(row.prefix_mac_share)]) + "\n")
+    write_csv(path, ("placement", "pearson_r", "switch_mae", "prefix_mac_share"),
+              ((r.placement, r.pearson_r, r.mae, r.prefix_mac_share) for r in rows))
 
 
 def write_probe_csv(report: DownstreamReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("source,accuracy\n")
-        fh.write(f"full,{format_float(report.acc_full)}\n")
-        fh.write(f"light,{format_float(report.acc_light)}\n")
-        fh.write(f"mixed,{format_float(report.acc_mixed)}\n")
+    write_csv(path, ("source", "accuracy"), (
+        ("full", report.acc_full), ("light", report.acc_light), ("mixed", report.acc_mixed)
+    ))

@@ -135,7 +135,8 @@ def pass_gap(d_out: Tensor, full_out: Tensor) -> Tensor:
     return Tensor(np.linalg.norm(d_out.data - full_out.data, axis=1))
 
 
-def _mse(a: Tensor, b: Tensor) -> Tensor:
+def mse(a: Tensor, b: Tensor) -> Tensor:
+    """Mean of the squared elementwise difference."""
     d = ag.sub(a, b)
     return ag.reduce(ag.mul(d, d), "mean")
 
@@ -150,7 +151,7 @@ def switch_loss(predicted: Tensor, actual: Tensor) -> Tensor:
         raise DimensionError(f"switch loss: length mismatch {predicted.shape} vs {actual.shape}")
     if actual.requires_grad:
         raise ContractError("switch loss: actual must be detached")
-    return _mse(predicted, actual)
+    return mse(predicted, actual)
 
 
 def lwd_loss(d_out: Tensor, target: Tensor) -> Tensor:
@@ -159,7 +160,7 @@ def lwd_loss(d_out: Tensor, target: Tensor) -> Tensor:
         raise DimensionError(f"lwd loss: shape mismatch {d_out.shape} vs {target.shape}")
     if target.requires_grad:
         raise ContractError("lwd loss: target must be detached")
-    return _mse(d_out, target)
+    return mse(d_out, target)
 
 
 def block_loss(l_switch: Tensor, l_lwd: Tensor, l_comp: Tensor, cfg: SwitchConfig) -> Tensor:

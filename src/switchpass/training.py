@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -23,11 +22,12 @@ from . import routing
 from .autograd import Tensor
 from .errors import ConfigError, FormatError, TrainingError
 from .model import SwitchedAutoencoder, derive_seed, _SHUFFLE
+from .output import write_atomic, write_csv
 
 CHECKPOINT_FORMAT_VERSION = 2
 
-#: Column order of metrics.csv (l_total is kept in the checkpoint history only).
-METRICS_CSV_HEADER = "epoch,l_recon,l_switch,l_lwd,l_comp,sparsity,switch_mae"
+#: Columns of metrics.csv (l_total is kept in the checkpoint history only).
+METRICS_CSV_COLUMNS = ("epoch", "l_recon", "l_switch", "l_lwd", "l_comp", "sparsity", "switch_mae")
 
 
 ADAM_BETA1 = 0.9
@@ -119,8 +119,7 @@ def total_loss(x: Tensor, model: SwitchedAutoencoder):
     cfg = model.cfg
     h = model.masked_latent(x, "train")
     full_out = model.suffix.forward(h)
-    diff = ag.sub(full_out, x)
-    l_recon = ag.reduce(ag.mul(diff, diff), "mean")
+    l_recon = routing.mse(full_out, x)
 
     h_frozen = ag.detach(h)
     d_out = model.light.forward(h_frozen)
@@ -257,25 +256,22 @@ def _doc_array(doc, path: str) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(shape)
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Writes the document to a temporary file beside path and renames it
-    over path, so a failed write leaves any previous file intact."""
+def checkpoint_json(ckpt: Checkpoint) -> str:
+    """The checkpoint document as the JSON text save_checkpoint writes."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "epoch": ckpt.epoch,
         "params": {k: _array_doc(v) for k, v in ckpt.params.items()},
         "metrics": ckpt.metrics,
     }
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def save_checkpoint(ckpt: Checkpoint, path) -> str:
+    """Writes the checkpoint atomically (output.write_atomic); returns the text."""
+    text = checkpoint_json(ckpt)
+    write_atomic(path, text)
+    return text
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -307,16 +303,5 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(epoch=doc["epoch"], params=params, metrics=doc["metrics"])
 
 
-def format_float(x) -> str:
-    """Shortest decimal that round-trips the exact float64 value."""
-    return repr(float(x))
-
-
 def write_metrics_csv(metrics: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(METRICS_CSV_HEADER + "\n")
-        for row in metrics:
-            fh.write(",".join([str(row["epoch"])] + [
-                format_float(row[k])
-                for k in ("l_recon", "l_switch", "l_lwd", "l_comp", "sparsity", "switch_mae")
-            ]) + "\n")
+    write_csv(path, METRICS_CSV_COLUMNS, ([r[k] for k in METRICS_CSV_COLUMNS] for r in metrics))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from switchpass import cli
+from switchpass import cli, training
 from switchpass import data as dat
 from switchpass.config import CLI_DATA_SEED, parse_config
 from switchpass.training import DataConfig, TrainConfig
@@ -109,6 +109,23 @@ def test_train_writes_all_outputs(workdir):
     assert summary["epochs"] == 4
 
 
+def test_final_checkpoint_serialized_once(workdir, monkeypatch):
+    tmp_path, config = workdir
+    serialized = []
+    real = training.checkpoint_json
+
+    def counting(ckpt):
+        serialized.append(ckpt.epoch)
+        return real(ckpt)
+
+    monkeypatch.setattr(training, "checkpoint_json", counting)
+    assert cli.main(["train", str(config)]) == 0
+    assert serialized == [0, 2, 4]
+    out = tmp_path / "out"
+    final = (out / "checkpoint_final.json").read_bytes()
+    assert final == (out / "checkpoint_epoch_0004.json").read_bytes()
+
+
 def test_train_idempotent(workdir):
     tmp_path, config = workdir
     assert cli.main(["train", str(config)]) == 0
@@ -131,6 +148,15 @@ class TestEval:
         tmp_path, config = workdir
         assert cli.main(["train", str(config)]) == 0
         return tmp_path, config, tmp_path / "out" / "checkpoint_final.json"
+
+    def test_eval_keeps_train_summary(self, trained):
+        tmp_path, config, ckpt = trained
+        out = tmp_path / "out"
+        train_summary = (out / "summary.json").read_bytes()
+        assert cli.main(["eval", str(config), str(ckpt), "--tau", "0.5"]) == 0
+        assert (out / "summary.json").read_bytes() == train_summary
+        assert json.loads(train_summary)["command"] == "train"
+        assert json.loads((out / "eval_summary.json").read_text())["command"] == "eval"
 
     def test_flags_mutually_exclusive(self, trained, capsys):
         tmp_path, config, ckpt = trained
@@ -156,7 +182,7 @@ class TestEval:
         tmp_path, config, ckpt = trained
         assert cli.main(["eval", str(config), str(ckpt),
                          "--target-light-fraction", "0.5"]) == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
         run = load_run_config(config)
         model = training.restore_model(run.train_cfg, training.load_checkpoint(ckpt))
         dataset = training.build_dataset(run.train_cfg.data)
@@ -329,5 +355,5 @@ def test_eval_uses_config_fraction_when_no_flags(workdir):
     assert cli.main(["train", str(config)]) == 0
     ckpt = tmp_path / "out" / "checkpoint_final.json"
     assert cli.main(["eval", str(config), str(ckpt)]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
     assert summary["tau"] > 0

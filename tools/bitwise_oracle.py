@@ -1,0 +1,87 @@
+"""Bitwise oracle: run a fixed set of CLI commands and hash every output file.
+
+    python3 tools/bitwise_oracle.py OUT_DIR
+
+Runs, through `switchpass.cli.main` and the `src` tree beside this script:
+
+- a default-config `train` for 20 epochs with a checkpoint every 5, into
+  OUT_DIR/runs/default;
+- `eval --target-light-fraction 0.6` on that run's final checkpoint, into
+  the same directory;
+- `sweep-beta --betas 1e-5 1e-3 1e-1` and `ablate-placement --placements 1 2`
+  on the TINY_CONFIG of tests/test_cli.py, each at `--jobs 1` and `--jobs 2`,
+  into OUT_DIR/runs/<command>-jobs<N>.
+
+Then writes OUT_DIR/sha256.txt, one `digest  relative/path` line per file
+under OUT_DIR/runs, sorted by path. A refactoring that must not move any
+bit is checked by running this on the parent commit and on the change and
+comparing the two manifests. OUT_DIR must not exist yet.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+from switchpass import cli  # noqa: E402
+
+
+def _config(out_dir: str, name: str, doc: dict) -> str:
+    path = os.path.join(out_dir, "configs", f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump({**doc, "output_dir": os.path.join(out_dir, "runs", name)}, fh)
+    return path
+
+
+def _run(argv: list[str]) -> None:
+    code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"switchpass {' '.join(argv)} exited {code}")
+
+
+def run_oracle(out_dir: str) -> list[str]:
+    """Runs every command into out_dir and returns the manifest lines."""
+    from test_cli import TINY_CONFIG
+
+    os.makedirs(os.path.join(out_dir, "configs"))
+    default = _config(out_dir, "default",
+                      {"train": {"epochs": 20, "checkpoint_every": 5}})
+    _run(["train", default])
+    final = os.path.join(out_dir, "runs", "default", "checkpoint_final.json")
+    _run(["eval", default, final, "--target-light-fraction", "0.6"])
+    for jobs in ("1", "2"):
+        config = _config(out_dir, f"sweep-beta-jobs{jobs}", TINY_CONFIG)
+        _run(["--jobs", jobs, "sweep-beta", config, "--betas", "1e-5", "1e-3", "1e-1"])
+        config = _config(out_dir, f"ablate-placement-jobs{jobs}", TINY_CONFIG)
+        _run(["--jobs", jobs, "ablate-placement", config, "--placements", "1", "2"])
+
+    runs = os.path.join(out_dir, "runs")
+    lines = []
+    for dirpath, _, names in os.walk(runs):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{digest}  {os.path.relpath(path, runs)}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/bitwise_oracle.py OUT_DIR", file=sys.stderr)
+        return 2
+    out_dir = argv[0]
+    lines = run_oracle(out_dir)
+    with open(os.path.join(out_dir, "sha256.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"{len(lines)} files hashed into {os.path.join(out_dir, 'sha256.txt')}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
