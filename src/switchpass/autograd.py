@@ -20,9 +20,6 @@ _node_ids = itertools.count()
 # Active MAC counter, if any. Single-threaded by contract.
 _mac_counter = None
 
-# False inside a no_grad() block. Single-threaded by contract.
-_grad_enabled = True
-
 
 class MacCounter:
     """Counts multiply-accumulates of every matmul executed inside a `with` block."""
@@ -39,22 +36,6 @@ class MacCounter:
     def __exit__(self, *exc):
         global _mac_counter
         _mac_counter = self._outer
-        return False
-
-
-class no_grad:
-    """Inside a `with` block ops build no graph: every output is an untracked
-    Tensor with no parents, so nothing keeps intermediate values alive."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._outer = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._outer
         return False
 
 
@@ -112,7 +93,7 @@ class Tensor:
 
 def _track(out_data, parents, vjp) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -184,19 +165,18 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 # Activation formulas: kind -> (value, derivative), None for the identity.
-# The derivative takes the activation's input and output; relu's is 0 at 0.
+# The derivative takes the activation's output; relu's is 0 at 0.
 _ACT = {
     "none": (None, None),
-    "relu": (lambda z: np.where(z > 0.0, z, 0.0), lambda z, out: z > 0.0),
-    "tanh": (np.tanh, lambda z, out: 1.0 - out * out),
+    "relu": (lambda z: np.where(z > 0.0, z, 0.0), lambda out: out > 0.0),
+    "tanh": (np.tanh, lambda out: 1.0 - out * out),
 }
 
 
 def _pointwise(a: Tensor, kind: str) -> Tensor:
     f, df = _ACT[kind]
-    z = a.data
-    out = f(z)
-    return _track(out, (a,), lambda g: (g * df(z, out),))
+    out = f(a.data)
+    return _track(out, (a,), lambda g: (g * df(out),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -207,15 +187,33 @@ def tanh(a: Tensor) -> Tensor:
     return _pointwise(a, "tanh")
 
 
+def softplus_array(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)), stable for large |x|."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def softplus(a: Tensor) -> Tensor:
     x = a.data
-    e = np.exp(-np.abs(x))
-    out = np.maximum(x, 0.0) + np.log1p(e)
 
     def vjp(g):
+        e = np.exp(-np.abs(x))
         return (g * np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)),)
 
-    return _track(out, (a,), vjp)
+    return _track(softplus_array(x), (a,), vjp)
+
+
+def dense_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str = "none") -> np.ndarray:
+    """act(x @ w.T + b) on plain arrays, for x (m, k), w (n, k) and b (n,):
+    the value of `dense`, and the inference kernel. Counts m*k*n MACs."""
+    if act not in _ACT:
+        raise ContractError(f"dense: unknown activation {act!r}")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+        raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape}, {b.shape}")
+    if _mac_counter is not None:
+        _mac_counter.total += x.size * w.shape[0]
+    f = _ACT[act][0]
+    z = _mm(x, w.T) + b
+    return z if f is None else f(z)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
@@ -223,21 +221,14 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
 
     It runs the kernels of the matmul, bias-add and activation ops in their
     order, and its VJP returns the arrays that chain of ops would, so values
-    and gradients are bitwise equal to it. Counts m*k*n MACs.
+    and gradients are bitwise equal to it.
     """
-    if act not in _ACT:
-        raise ContractError(f"dense: unknown activation {act!r}")
-    xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1] or bd.shape != wd.shape[:1]:
-        raise DimensionError(f"dense: incompatible shapes {xd.shape}, {wd.shape}, {bd.shape}")
-    if _mac_counter is not None:
-        _mac_counter.total += xd.size * wd.shape[0]
-    f, df = _ACT[act]
-    z = _mm(xd, wd.T) + bd
-    out = z if f is None else f(z)
+    xd, wd = x.data, w.data
+    out = dense_array(xd, wd, b.data, act)
+    df = _ACT[act][1]
 
     def vjp(g):
-        gz = g if df is None else g * df(z, out)
+        gz = g if df is None else g * df(out)
         gx = _mm(gz, wd) if x.requires_grad else None
         return gx, _mm(xd.T, gz).T, gz.sum(axis=0)
 

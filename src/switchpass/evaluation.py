@@ -273,7 +273,7 @@ def downstream_probe(model: SwitchedAutoencoder, dataset: dat.Dataset,
                 out = model.light_output(x)
             else:
                 out = model.mixed_output(x, tau)[0]
-            return model.masked_latent(out, "infer").data
+            return model.infer_latent(out.data)
 
         w, b = fit_probe(embed(dataset.train), _labels(dataset.train))
         accs[source] = probe_accuracy(w, b, embed(dataset.test), _labels(dataset.test))

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autograd as ag
 from . import nn, routing
 from .autograd import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 # Component streams for deriving independent init seeds from one run seed.
 _NET, _SWITCH, _LIGHT, _SHUFFLE = 0, 1, 2, 3
@@ -64,16 +63,21 @@ class SwitchedAutoencoder:
                 params.append((f"{group}.{k}.bias", layer.bias))
         return params
 
+    def infer_latent(self, x: np.ndarray) -> np.ndarray:
+        return routing.infer_latent(self.prefix, self.mask, x)
+
     def masked_latent(self, x: Tensor, mode: str) -> Tensor:
-        return self.mask.apply(self.prefix.forward(x), mode)
+        if mode == "infer":
+            return Tensor(self.infer_latent(x.data))
+        if mode != "train":
+            raise ContractError(f"masked_latent: unknown mode {mode!r}")
+        return self.mask.apply(self.prefix.forward(x))
 
     def full_output(self, x: Tensor) -> Tensor:
-        with ag.no_grad():
-            return self.suffix.forward(self.masked_latent(x, "infer"))
+        return Tensor(self.suffix.infer(self.infer_latent(x.data)))
 
     def light_output(self, x: Tensor) -> Tensor:
-        with ag.no_grad():
-            return self.light.forward(self.masked_latent(x, "infer"))
+        return Tensor(self.light.infer(self.infer_latent(x.data)))
 
     def mixed_output(self, x: Tensor, tau: float):
         return routing.mixed_forward(
@@ -81,17 +85,14 @@ class SwitchedAutoencoder:
         )
 
     def switch_predictions(self, x: Tensor) -> np.ndarray:
-        with ag.no_grad():
-            return self.switch.predict(self.masked_latent(x, "infer")).data
+        return self.switch.infer(self.infer_latent(x.data))
 
     def switch_scatter(self, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
         """Switch predictions and the measured light-vs-full distances they
         estimate, per row of x."""
-        with ag.no_grad():
-            h = self.masked_latent(x, "infer")
-            predicted = self.switch.predict(h).data
-            actual = routing.pass_gap(self.light.forward(h), self.suffix.forward(h)).data
-        return predicted, actual
+        h = self.infer_latent(x.data)
+        gap = routing.pass_gap_array(self.light.infer(h), self.suffix.infer(h))
+        return self.switch.infer(h), gap
 
     # Per-sample MAC cost of each strategy, by the out*in counting rule.
     def macs_prefix(self) -> int:

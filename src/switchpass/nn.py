@@ -34,9 +34,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ag.dense(x, self.weights, self.bias, self.activation)
-
     def param_count(self) -> int:
         return self.out_dim * self.in_dim + self.out_dim
 
@@ -58,10 +55,15 @@ class Network:
             raise DimensionError(
                 f"forward: input shape {x.shape} does not match input_dim {self.input_dim}"
             )
-        out = x
         for layer in self.layers:
-            out = layer.forward(out)
-        return out
+            x = ag.dense(x, layer.weights, layer.bias, layer.activation)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """forward's values on plain arrays, bit for bit, with no graph."""
+        for layer in self.layers:
+            x = ag.dense_array(x, layer.weights.data, layer.bias.data, layer.activation)
+        return x
 
     def split_at(self, i: int) -> tuple["Network", "Network"]:
         """Cut into ([0, i), [i, end)); layer objects are shared, not copied."""

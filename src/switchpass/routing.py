@@ -70,14 +70,11 @@ class LatentMask:
         w = self.w.data
         return np.where(np.abs(w) >= self.eps, w, 0.0)
 
-    def apply(self, h: Tensor, mode: str) -> Tensor:
+    def apply(self, h: Tensor) -> Tensor:
+        """Soft-masked activation, tracked for training."""
         if h.data.ndim != 2 or h.shape[1] != self.dim:
             raise DimensionError(f"mask: input shape {h.shape} does not match dim {self.dim}")
-        if mode == "train":
-            return ag.mul(h, self.w)
-        if mode == "infer":
-            return Tensor(h.data * self.hard_weights())
-        raise ContractError(f"mask: unknown mode {mode!r}")
+        return ag.mul(h, self.w)
 
 
 def compression_loss(mask: LatentMask) -> Tensor:
@@ -101,6 +98,20 @@ class Switch:
         out = ag.softplus(self.net.forward(h))
         return ag.reshape(out, (h.shape[0],))
 
+    def infer(self, h: np.ndarray) -> np.ndarray:
+        return ag.softplus_array(self.net.infer(h))[:, 0]
+
+
+def infer_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> np.ndarray:
+    """Hard-masked activation at the block, on plain arrays; every inference
+    pass starts here. A NaN row would route full (NaN < tau is false)."""
+    if x.ndim != 2 or x.shape[1] != prefix.input_dim:
+        raise DimensionError(f"inference: input shape {x.shape}, want (n, {prefix.input_dim})")
+    if not np.isfinite(x).all():
+        row = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise ContractError(f"inference: input row {row} is not finite")
+    return prefix.infer(x) * mask.hard_weights()
+
 
 def build_switch(dim: int, seed: int) -> Switch:
     hidden = max(4, dim // 4)
@@ -121,18 +132,23 @@ def build_light_decoder(suffix: nn.Network, rho: float, seed: int) -> nn.Network
     return nn.init_network(dims, activations, seed)
 
 
-def pass_gap(d_out: Tensor, full_out: Tensor) -> Tensor:
+def pass_gap_array(d_out: np.ndarray, full_out: np.ndarray) -> np.ndarray:
     """Per-sample absolute distance between the two passes.
 
     This is the switch's regression target. It is deliberately not
     normalized by the full pass's output norm: that norm is tiny for
     near-silent frames, so a relative distance would blow their scores up and
     invert the easy/hard ordering. The threshold on it is chosen by quantile,
-    so no fixed scale is needed. Carries no gradient linkage.
+    so no fixed scale is needed.
     """
     if d_out.shape != full_out.shape:
         raise DimensionError(f"pass_gap: shape mismatch {d_out.shape} vs {full_out.shape}")
-    return Tensor(np.linalg.norm(d_out.data - full_out.data, axis=1))
+    return np.linalg.norm(d_out - full_out, axis=1)
+
+
+def pass_gap(d_out: Tensor, full_out: Tensor) -> Tensor:
+    """pass_gap_array as an untracked Tensor: carries no gradient linkage."""
+    return Tensor(pass_gap_array(d_out.data, full_out.data))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -214,16 +230,15 @@ def mixed_forward(
 
     Computes the hard-masked activation once, asks the switch for a predicted
     distance per sample, and runs the lightweight decoder on the rows below
-    tau (the `route` rule) and the full suffix on the rest. Builds no graph.
+    tau (the `route` rule) and the full suffix on the rest, on plain arrays.
     """
-    with ag.no_grad():
-        h = mask.apply(prefix.forward(x), "infer")
-        preds = switch.predict(h).data
-        light = preds < tau
-        out = np.empty((x.shape[0], suffix.output_dim))
-        for net, rows in ((lwd, np.flatnonzero(light)), (suffix, np.flatnonzero(~light))):
-            if rows.size:
-                out[rows] = net.forward(Tensor(h.data.take(rows, axis=0))).data
+    h = infer_latent(prefix, mask, x.data)
+    preds = switch.infer(h)
+    light = preds < tau
+    out = np.empty((h.shape[0], suffix.output_dim))
+    for net, rows in ((lwd, np.flatnonzero(light)), (suffix, np.flatnonzero(~light))):
+        if rows.size:
+            out[rows] = net.infer(h.take(rows, axis=0))
     decisions = [RouteDecision(kind=LIGHT if is_light else FULL, predicted=p)
                  for is_light, p in zip(light.tolist(), preds.tolist())]
     return Tensor(out), decisions

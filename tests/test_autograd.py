@@ -211,40 +211,6 @@ class TestDense:
         assert counter.total == 2 * 5 * 3 * 4
 
 
-class TestNoGrad:
-    def test_outputs_are_untracked(self):
-        a = Tensor(RNG.uniform(-1, 1, (3, 2)), requires_grad=True)
-        w = Tensor(RNG.uniform(-1, 1, (4, 2)), requires_grad=True)
-        with ag.no_grad():
-            outs = [ag.mul(a, a), ag.softplus(a), ag.reduce(a, "sum"),
-                    ag.dense(a, w, Tensor(np.zeros(4)), "relu")]
-        for out in outs:
-            assert out.requires_grad is False
-            assert out._parents == ()
-        assert ag.mul(a, a).requires_grad
-
-    def test_values_match_tracked_ops(self):
-        a = Tensor(RNG.uniform(-3, 3, (4, 5)), requires_grad=True)
-        with ag.no_grad():
-            untracked = ag.softplus(ag.tanh(a)).data
-        assert untracked.tobytes() == ag.softplus(ag.tanh(a)).data.tobytes()
-
-    def test_flag_restored_when_body_raises(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(RuntimeError):
-            with ag.no_grad():
-                raise RuntimeError("boom")
-        assert ag.mul(a, a).requires_grad
-
-    def test_nested_blocks_restore_the_outer_state(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        with ag.no_grad():
-            with ag.no_grad():
-                pass
-            assert not ag.mul(a, a).requires_grad
-        assert ag.mul(a, a).requires_grad
-
-
 class TestReduce:
     def test_l1(self):
         assert ag.reduce(Tensor([1.0, -2.0, 0.0]), "l1").item() == 3.0

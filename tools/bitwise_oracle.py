@@ -8,6 +8,11 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
   OUT_DIR/runs/default;
 - `eval --target-light-fraction 0.6` on that run's final checkpoint, into
   the same directory;
+- the raw inference outputs of that checkpoint on the test split at the
+  eval's τ: `full_output`, `light_output`, `mixed_output` and
+  `switch_predictions`, each written as its array's `.tobytes()` into
+  OUT_DIR/runs/default/inference/<pass>.bin (raw bytes, not `.npz`, whose
+  zip timestamps vary);
 - `sweep-beta --betas 1e-5 1e-3 1e-1` and `ablate-placement --placements 1 2`
   on the TINY_CONFIG of tests/test_cli.py, each at `--jobs 1` and `--jobs 2`,
   into OUT_DIR/runs/<command>-jobs<N>.
@@ -28,7 +33,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from switchpass import cli  # noqa: E402
+from switchpass import cli, training  # noqa: E402
+from switchpass import data as dat  # noqa: E402
+from switchpass.autograd import Tensor  # noqa: E402
 
 
 def _config(out_dir: str, name: str, doc: dict) -> str:
@@ -44,6 +51,26 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"switchpass {' '.join(argv)} exited {code}")
 
 
+def _write_inference(config: str, checkpoint: str) -> None:
+    """Hashes inference bits directly, not only through eval's MSE floats."""
+    run_dir = os.path.dirname(checkpoint)
+    run = cli._load(config, None)
+    model = training.restore_model(run.train_cfg, training.load_checkpoint(checkpoint))
+    x = Tensor(dat.frames_to_matrix(training.build_dataset(run.train_cfg.data).test))
+    with open(os.path.join(run_dir, "eval_summary.json")) as fh:
+        tau = json.load(fh)["tau"]
+    outputs = {
+        "full": model.full_output(x).data,
+        "light": model.light_output(x).data,
+        "mixed": model.mixed_output(x, tau)[0].data,
+        "switch": model.switch_predictions(x),
+    }
+    os.makedirs(os.path.join(run_dir, "inference"))
+    for name, arr in outputs.items():
+        with open(os.path.join(run_dir, "inference", f"{name}.bin"), "wb") as fh:
+            fh.write(arr.tobytes())
+
+
 def run_oracle(out_dir: str) -> list[str]:
     """Runs every command into out_dir and returns the manifest lines."""
     from test_cli import TINY_CONFIG
@@ -54,6 +81,7 @@ def run_oracle(out_dir: str) -> list[str]:
     _run(["train", default])
     final = os.path.join(out_dir, "runs", "default", "checkpoint_final.json")
     _run(["eval", default, final, "--target-light-fraction", "0.6"])
+    _write_inference(default, final)
     for jobs in ("1", "2"):
         config = _config(out_dir, f"sweep-beta-jobs{jobs}", TINY_CONFIG)
         _run(["--jobs", jobs, "sweep-beta", config, "--betas", "1e-5", "1e-3", "1e-1"])
