@@ -142,7 +142,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config {path}: invalid JSON: {exc}")
     try:
         return parse_config(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"config {path}: {exc}")

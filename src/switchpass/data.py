@@ -47,8 +47,8 @@ class SignalSpec:
     def __post_init__(self):
         if self.frame_len <= 0:
             raise ConfigError(f"frame_len must be positive, got {self.frame_len}")
-        if self.easy_noise_amp < 0:
-            raise ConfigError(f"easy_noise_amp must be >= 0, got {self.easy_noise_amp}")
+        if not 0 <= self.easy_noise_amp < np.inf:
+            raise ConfigError(f"easy_noise_amp must be finite and >= 0, got {self.easy_noise_amp}")
         if self.hard_components < 0:
             raise ConfigError(f"hard_components must be >= 0, got {self.hard_components}")
 
@@ -111,8 +111,8 @@ def split(frames: list[Frame], ratios: tuple[float, float, float], seed: int) ->
     mix to within one frame per group.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must be non-negative and sum to 1, got {ratios}")
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ConfigError(f"split ratios must be finite, non-negative and sum to 1, got {ratios}")
 
     groups: dict[str, list[Frame]] = {}
     for frame in frames:

@@ -44,12 +44,13 @@ class SwitchConfig:
     placement: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError(f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ConfigError(
+                f"alpha and beta must be finite and >= 0, got {self.alpha}, {self.beta}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         if self.placement < 0:
             raise ConfigError(f"placement must be >= 0, got {self.placement}")
 
@@ -187,16 +188,18 @@ def block_loss(l_switch: Tensor, l_lwd: Tensor, l_comp: Tensor, cfg: SwitchConfi
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouteDecision:
     kind: str  # LIGHT or FULL
-    predicted: float
+
+
+LIGHT_ROUTE = RouteDecision(LIGHT)
+FULL_ROUTE = RouteDecision(FULL)
 
 
 def route(predicted: float, tau: float) -> RouteDecision:
     """Light strictly below tau; ties go full, the safe direction."""
-    kind = LIGHT if predicted < tau else FULL
-    return RouteDecision(kind=kind, predicted=float(predicted))
+    return LIGHT_ROUTE if predicted < tau else FULL_ROUTE
 
 
 def calibrate_threshold(predictions, target_light_fraction: float) -> float:
@@ -239,6 +242,4 @@ def mixed_forward(
     for net, rows in ((lwd, np.flatnonzero(light)), (suffix, np.flatnonzero(~light))):
         if rows.size:
             out[rows] = net.infer(h.take(rows, axis=0))
-    decisions = [RouteDecision(kind=LIGHT if is_light else FULL, predicted=p)
-                 for is_light, p in zip(light.tolist(), preds.tolist())]
-    return Tensor(out), decisions
+    return Tensor(out), [LIGHT_ROUTE if is_light else FULL_ROUTE for is_light in light.tolist()]

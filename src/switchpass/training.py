@@ -36,34 +36,34 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """Bias-corrected Adam moments for a fixed set of named parameters."""
+    """Bias-corrected Adam moments as two flat arrays, laid out in parameter order."""
 
     def __init__(self, named_params, lr: float = 1e-3):
         self.lr = float(lr)
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in named_params}
-        self.v = {name: np.zeros_like(p.data) for name, p in named_params}
+        self.m = np.zeros(sum(p.data.size for _, p in named_params))
+        self.v = np.zeros_like(self.m)
 
 
 def adam_step(named_params, state: AdamState) -> None:
-    """One update over all parameters; grads must already be accumulated."""
+    """One update from the accumulated grads; a non-finite grad raises before any change."""
+    g = np.concatenate([np.zeros(p.data.size) if p.grad is None else np.ravel(p.grad)
+                        for _, p in named_params])
+    if not np.isfinite(g).all():
+        raise TrainingError("non-finite gradient for parameter " + next(
+            n for n, p in named_params if p.grad is not None and not np.isfinite(p.grad).all()))
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for name, p in named_params:
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * (g * g)
+    step = state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    start = 0
+    for _, p in named_params:
+        p.data = p.data - step[start:start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
 
 
 @dataclass
@@ -90,10 +90,12 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 means every 10% of epochs
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size <= 0 or self.lr <= 0:
+        if (self.epochs < 0 or self.batch_size <= 0 or not 0 < self.lr < math.inf
+                or self.checkpoint_every < 0):
             raise ConfigError(
-                f"epochs >= 0, batch_size > 0, lr > 0 required, got "
-                f"{self.epochs}, {self.batch_size}, {self.lr}"
+                f"epochs >= 0, batch_size > 0, finite lr > 0, checkpoint_every >= 0 "
+                f"required, got {self.epochs}, {self.batch_size}, {self.lr}, "
+                f"{self.checkpoint_every}"
             )
 
     def cadence(self) -> int:

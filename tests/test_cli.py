@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from switchpass import cli, training
+from switchpass import cli, routing, training
 from switchpass import data as dat
 from switchpass.config import CLI_DATA_SEED, parse_config
+from switchpass.errors import ConfigError
 from switchpass.training import DataConfig, TrainConfig
 
 TINY_CONFIG = {
@@ -70,6 +71,40 @@ def test_tau_and_fraction_mutually_exclusive_in_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["train", str(path)]) == 2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: routing.SwitchConfig(eps=NAN),
+    lambda: routing.SwitchConfig(eps=INF),
+    lambda: routing.SwitchConfig(alpha=NAN),
+    lambda: routing.SwitchConfig(beta=INF),
+    lambda: TrainConfig(lr=NAN),
+    lambda: TrainConfig(lr=INF),
+    lambda: TrainConfig(checkpoint_every=-5),
+    lambda: dat.SignalSpec(easy_noise_amp=NAN),
+    lambda: dat.split([], (NAN, 0.5, 0.5), 0),
+], ids=["eps-nan", "eps-inf", "alpha-nan", "beta-inf", "lr-nan", "lr-inf",
+        "checkpoint_every-negative", "easy_noise_amp-nan", "ratios-nan"])
+def test_non_finite_or_negative_config_number_rejected(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("dsl", "eps", NAN),
+    ("train", "epochs", INF),
+], ids=["eps-nan", "epochs-inf"])
+def test_train_with_non_finite_config_number_exits_2(workdir, capsys, section, key, value):
+    tmp_path, config = workdir
+    doc = json.loads(config.read_text())
+    doc[section][key] = value
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", str(config)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_exits_2():

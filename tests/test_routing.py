@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,9 +182,12 @@ class TestRoute:
     def test_tie_routes_full(self):
         assert routing.route(0.5, 0.5).kind == routing.FULL
 
-    def test_decision_retains_prediction(self):
-        d = routing.route(0.125, 1.0)
-        assert d.predicted == 0.125
+    def test_decisions_are_two_frozen_shared_values(self):
+        assert [f.name for f in dataclasses.fields(routing.RouteDecision)] == ["kind"]
+        assert routing.route(0.0, 0.5) is routing.route(0.25, 0.5) is routing.LIGHT_ROUTE
+        assert routing.route(0.5, 0.5) is routing.FULL_ROUTE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            routing.LIGHT_ROUTE.kind = routing.FULL
 
 
 class TestCalibration:
@@ -342,7 +347,7 @@ class TestMixedOutputProperties:
         assert len(decisions) == len(rows)
         for i, decision in enumerate(decisions):
             xi = Tensor(x.data[i:i + 1])
-            assert decision.kind == routing.route(model.switch_predictions(xi)[0], tau).kind
+            assert decision is routing.route(model.switch_predictions(xi)[0], tau)
             single = model.light_output(xi) if decision.kind == routing.LIGHT \
                 else model.full_output(xi)
             assert out.data[i].tobytes() == single.data[0].tobytes()

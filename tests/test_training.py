@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchpass import autograd as ag
 from switchpass import data as dat
@@ -67,6 +69,21 @@ class TestAdam:
         with pytest.raises(TrainingError, match="mask.w"):
             training.adam_step(named, training.AdamState(named))
 
+    def test_non_finite_gradient_changes_nothing(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([[3.0]]), requires_grad=True)
+        named = [("a", a), ("b", b)]
+        state = training.AdamState(named, lr=0.1)
+        a.grad, b.grad = np.array([0.5, -0.25]), np.array([[1.0]])
+        training.adam_step(named, state)
+        before = [a.data.tobytes(), b.data.tobytes(), state.m.tobytes(), state.v.tobytes()]
+        a.grad, b.grad = np.array([0.125, 4.0]), np.array([[np.nan]])
+        with pytest.raises(TrainingError, match="parameter b"):
+            training.adam_step(named, state)
+        assert [a.data.tobytes(), b.data.tobytes(), state.m.tobytes(),
+                state.v.tobytes()] == before
+        assert state.t == 1
+
     def test_step_counter_monotone(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.ones(1)
@@ -75,6 +92,67 @@ class TestAdam:
         for t in (1, 2, 3):
             training.adam_step(named, state)
             assert state.t == t
+
+
+class ReferenceAdam:
+    """The per-parameter Adam loop that the flat adam_step replaced: one pair
+    of moment arrays per parameter. Kept as the bitwise reference."""
+
+    def __init__(self, named_params, lr):
+        self.lr = lr
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in named_params}
+        self.v = {name: np.zeros_like(p.data) for name, p in named_params}
+
+    def step(self, named_params):
+        self.t += 1
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for name, p in named_params:
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + training.ADAM_EPS)
+
+
+SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 5)),
+                   st.tuples(st.integers(1, 4), st.integers(1, 4)))
+
+
+class TestFlatAdamMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(SHAPES, min_size=0, max_size=5), st.integers(0, 5),
+           st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+    def test_every_step_bitwise_equal(self, shapes, scalar_at, n_steps, seed, data):
+        # One 0-d parameter always takes its gradient as a numpy scalar, as
+        # evaluation.fit_probe's bias does.
+        shapes.insert(min(scalar_at, len(shapes)), ())
+        rng = np.random.default_rng(seed)
+        init = [rng.normal(size=shape) for shape in shapes]
+        flat = [(f"p{i}", Tensor(x.copy())) for i, x in enumerate(init)]
+        ref = [(f"p{i}", Tensor(x.copy())) for i, x in enumerate(init)]
+        state = training.AdamState(flat, lr=0.01)
+        reference = ReferenceAdam(ref, lr=0.01)
+        for _ in range(n_steps):
+            missing = data.draw(st.lists(st.booleans(), min_size=len(shapes),
+                                         max_size=len(shapes)))
+            for (_, p), (_, q), shape, none in zip(flat, ref, shapes, missing):
+                g = None if none else rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4)
+                if g is not None and shape == ():
+                    g = np.float64(g)
+                p.grad = q.grad = g
+            training.adam_step(flat, state)
+            reference.step(ref)
+            for (_, p), (_, q) in zip(flat, ref):
+                assert np.asarray(p.data).tobytes() == np.asarray(q.data).tobytes()
+            for flat_moment, moments in ((state.m, reference.m), (state.v, reference.v)):
+                laid = np.concatenate([np.ravel(moments[name]) for name, _ in ref])
+                assert flat_moment.tobytes() == laid.tobytes()
+            assert state.t == reference.t
 
 
 class TestTotalLoss:
