@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every arithmetic primitive here is bitwise deterministic: matrix products go
-through einsum (fixed per-element accumulation order, independent of how many
-rows are in the batch) and reductions accumulate left to right. BLAS gemm
-would be faster but reorders accumulation depending on operand sizes, which
-breaks the bitwise reproducibility this package promises.
+Every arithmetic primitive here is bitwise deterministic. Matrix products go
+through `_mm`, which makes one identical BLAS call per row of its left
+operand, so row i of a product never depends on the other rows: every forward
+is row and batch invariant, and a weight-gradient reduction over the batch is
+deterministic for a fixed batch shape. Reductions accumulate left to right.
+One BLAS call for the whole batch (gemm) would reorder the accumulation with
+the operand sizes and break this. The bits themselves are those of the
+numpy/BLAS build in use.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ class MacCounter:
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # einsum keeps a fixed, sequential accumulation order per output element.
-    return np.einsum("ik,kj->ij", x, y)
+    # One identical (1, k) x (k, n) BLAS call per row of x, so row i's bits
+    # depend only on x[i] and y. They also depend on y's memory layout (a
+    # transposed view and a contiguous copy differ), so every call site keeps
+    # the layout it passes. The only matrix product in the package.
+    return np.matmul(x[:, None, :], y)[:, 0, :]
 
 
 def _seq_sum(x: np.ndarray) -> np.float64:

@@ -51,6 +51,10 @@ class SignalSpec:
             raise ConfigError(f"easy_noise_amp must be finite and >= 0, got {self.easy_noise_amp}")
         if self.hard_components < 0:
             raise ConfigError(f"hard_components must be >= 0, got {self.hard_components}")
+        for name in ("hard_freq_range", "hard_amp_range"):
+            r = tuple(getattr(self, name))
+            if len(r) != 2 or not np.isfinite(r).all() or r[0] > r[1]:
+                raise ConfigError(f"{name} must be two finite numbers, low <= high, got {r}")
 
 
 def _frame_rng(seed: int, stream: int, index: int) -> np.random.Generator:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import data as dat
 from . import routing, training
-from .autograd import Tensor
+from .autograd import Tensor, _mm
 from .errors import ContractError
 from .model import SwitchedAutoencoder, check_placement
 from .output import write_csv
@@ -222,6 +222,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _logits(x: np.ndarray, w: np.ndarray, b) -> np.ndarray:
+    return _mm(x, w[:, None])[:, 0] + b
+
+
 def fit_probe(x: np.ndarray, y: np.ndarray, epochs: int = 300, lr: float = 0.05):
     """Logistic regression (one dense layer + sigmoid) trained full-batch
     with the training loop's Adam for a fixed budget. Deterministic: zero
@@ -232,15 +236,15 @@ def fit_probe(x: np.ndarray, y: np.ndarray, epochs: int = 300, lr: float = 0.05)
     params = [("w", w), ("b", b)]
     state = training.AdamState(params, lr=lr)
     for _ in range(epochs):
-        err = (_sigmoid(x @ w.data + b.data) - y) / n
-        w.grad = x.T @ err
+        err = (_sigmoid(_logits(x, w.data, b.data)) - y) / n
+        w.grad = _mm(x.T, err[:, None])[:, 0]
         b.grad = err.sum()
         training.adam_step(params, state)
     return w.data, float(b.data)
 
 
 def probe_accuracy(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((_sigmoid(x @ w + b) > 0.5).astype(np.float64) == y))
+    return float(np.mean((_sigmoid(_logits(x, w, b)) > 0.5).astype(np.float64) == y))
 
 
 @dataclass

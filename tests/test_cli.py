@@ -96,7 +96,12 @@ def test_non_finite_or_negative_config_number_rejected(build):
 @pytest.mark.parametrize("section, key, value", [
     ("dsl", "eps", NAN),
     ("train", "epochs", INF),
-], ids=["eps-nan", "epochs-inf"])
+    ("data", "hard_amp_range", [NAN, 0.9]),
+    ("data", "hard_freq_range", [0.02, INF]),
+    ("data", "hard_amp_range", [0.9, 0.2]),
+    ("data", "hard_freq_range", [0.02]),
+], ids=["eps-nan", "epochs-inf", "hard_amp_range-nan", "hard_freq_range-inf",
+        "hard_amp_range-reversed", "hard_freq_range-one-value"])
 def test_train_with_non_finite_config_number_exits_2(workdir, capsys, section, key, value):
     tmp_path, config = workdir
     doc = json.loads(config.read_text())

@@ -10,6 +10,7 @@ from switchpass import nn, routing
 from switchpass.autograd import MacCounter, Tensor
 from switchpass.errors import ConfigError, ContractError, DimensionError
 from switchpass.model import SwitchedAutoencoder
+from switchpass.training import TrainConfig
 
 RNG = np.random.default_rng(41)
 
@@ -332,25 +333,42 @@ class TestMixedForward:
             previous = light_set
 
 
+def check_each_row_equals_its_single_row_pass(model, pool, rows, fraction):
+    x = Tensor(pool[rows])
+    tau = float(np.quantile(model.switch_predictions(x), fraction))
+    out, decisions = model.mixed_output(x, tau)
+    assert len(decisions) == len(rows)
+    for i, decision in enumerate(decisions):
+        xi = Tensor(x.data[i:i + 1])
+        assert decision is routing.route(model.switch_predictions(xi)[0], tau)
+        single = model.light_output(xi) if decision.kind == routing.LIGHT \
+            else model.full_output(xi)
+        assert out.data[i].tobytes() == single.data[0].tobytes()
+
+
+DEFAULT_CFG = TrainConfig()
+
+
 class TestMixedOutputProperties:
     MODEL = SwitchedAutoencoder([8, 6, 5, 8], ["tanh", "relu", "none"],
                                 routing.SwitchConfig(rho=0.5), seed=17)
     POOL = np.random.default_rng(5).uniform(-1, 1, (64, 8))
+    # The default architecture: the kernel's bits depend on where a column
+    # falls in BLAS's blocks, so row invariance is checked at real widths too.
+    DEFAULT_MODEL = SwitchedAutoencoder(DEFAULT_CFG.dims, DEFAULT_CFG.activations,
+                                        DEFAULT_CFG.dsl, seed=17)
+    DEFAULT_POOL = np.random.default_rng(6).uniform(-1, 1, (64, DEFAULT_CFG.dims[0]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=40), st.floats(0.0, 1.0))
     def test_each_row_equals_its_single_row_pass(self, rows, fraction):
-        model = self.MODEL
-        x = Tensor(self.POOL[rows])
-        tau = float(np.quantile(model.switch_predictions(x), fraction))
-        out, decisions = model.mixed_output(x, tau)
-        assert len(decisions) == len(rows)
-        for i, decision in enumerate(decisions):
-            xi = Tensor(x.data[i:i + 1])
-            assert decision is routing.route(model.switch_predictions(xi)[0], tau)
-            single = model.light_output(xi) if decision.kind == routing.LIGHT \
-                else model.full_output(xi)
-            assert out.data[i].tobytes() == single.data[0].tobytes()
+        check_each_row_equals_its_single_row_pass(self.MODEL, self.POOL, rows, fraction)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 63), min_size=1, max_size=40), st.floats(0.0, 1.0))
+    def test_each_row_equals_its_single_row_pass_at_default_dims(self, rows, fraction):
+        check_each_row_equals_its_single_row_pass(self.DEFAULT_MODEL, self.DEFAULT_POOL,
+                                                  rows, fraction)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["prefix", "suffix", "light", "switch"]),
