@@ -171,17 +171,24 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 # Activation formulas: kind -> (value, derivative), None for the identity.
-# The derivative takes the activation's output; relu's is 0 at 0.
+# The value overwrites its argument and returns it; the derivative takes the
+# activation's output. relu maps everything not above 0 (NaN included) to 0,
+# and its derivative is 0 at 0.
+def _relu_inplace(z: np.ndarray) -> np.ndarray:
+    np.copyto(z, 0.0, where=~(z > 0.0))
+    return z
+
+
 _ACT = {
     "none": (None, None),
-    "relu": (lambda z: np.where(z > 0.0, z, 0.0), lambda out: out > 0.0),
-    "tanh": (np.tanh, lambda out: 1.0 - out * out),
+    "relu": (_relu_inplace, lambda out: out > 0.0),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda out: 1.0 - out * out),
 }
 
 
 def _pointwise(a: Tensor, kind: str) -> Tensor:
     f, df = _ACT[kind]
-    out = f(a.data)
+    out = f(a.data.copy())
     return _track(out, (a,), lambda g: (g * df(out),))
 
 
@@ -209,21 +216,26 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def dense_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str = "none") -> np.ndarray:
-    """act(x @ w.T + b) on plain arrays, for x (m, k), w (n, k) and b (n,):
-    the value of `dense`, and the inference kernel. Counts m*k*n MACs."""
+    """act(x @ w + b) on plain arrays, for x (m, k), w (k, n) and b (n,):
+    the value of `dense`, and the inference kernel. Counts m*k*n MACs.
+
+    w is C-contiguous (in, out), so each row's BLAS call reads it in order.
+    The bias add and activation overwrite the product, bitwise equal to
+    act(_mm(x, w) + b) with no temporaries."""
     if act not in _ACT:
         raise ContractError(f"dense: unknown activation {act!r}")
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape}, {b.shape}")
     if _mac_counter is not None:
-        _mac_counter.total += x.size * w.shape[0]
+        _mac_counter.total += x.size * w.shape[1]
     f = _ACT[act][0]
-    z = _mm(x, w.T) + b
+    z = _mm(x, w)
+    z += b
     return z if f is None else f(z)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
-    """act(x @ w.T + b) as one node, for x (m, k), w (n, k) and b (n,).
+    """act(x @ w + b) as one node, for x (m, k), w (k, n) and b (n,).
 
     It runs the kernels of the matmul, bias-add and activation ops in their
     order, and its VJP returns the arrays that chain of ops would, so values
@@ -235,8 +247,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
 
     def vjp(g):
         gz = g if df is None else g * df(out)
-        gx = _mm(gz, wd) if x.requires_grad else None
-        return gx, _mm(xd.T, gz).T, gz.sum(axis=0)
+        gx = _mm(gz, wd.T) if x.requires_grad else None
+        return gx, _mm(xd.T, gz), gz.sum(axis=0)
 
     return _track(out, (x, w, b), vjp)
 

@@ -42,8 +42,8 @@ def _load(config_path: str, seed_override: int | None) -> RunConfig:
 def cmd_train(args) -> int:
     run = _load(args.config, args.seed)
     out = run.output_dir
-    os.makedirs(out, exist_ok=True)
     result = training.train(run.train_cfg)
+    os.makedirs(out, exist_ok=True)
 
     training.write_metrics_csv(result.metrics, os.path.join(out, "metrics.csv"))
     # The last checkpoint is the final one: its text is written again, not re-serialized.

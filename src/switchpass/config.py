@@ -121,6 +121,7 @@ def parse_config(doc: dict) -> RunConfig:
         seed=int(train["seed"]),
         checkpoint_every=int(train["checkpoint_every"]),
     )
+    train_cfg.check_frame_len()
     output_dir = doc.get("output_dir", DEFAULTS["output_dir"])
     if not isinstance(output_dir, str):
         raise ConfigError(f"config: output_dir must be a string, got {output_dir!r}")

@@ -94,7 +94,7 @@ class SwitchedAutoencoder:
         gap = routing.pass_gap_array(self.light.infer(h), self.suffix.infer(h))
         return self.switch.infer(h), gap
 
-    # Per-sample MAC cost of each strategy, by the out*in counting rule.
+    # Per-sample MAC cost of each strategy, by the in*out counting rule.
     def macs_prefix(self) -> int:
         return nn.mac_count(self.prefix)
 
@@ -122,4 +122,4 @@ class SwitchedAutoencoder:
                 raise ConfigError(
                     f"state {name}: shape {arr.shape} does not match model {p.data.shape}"
                 )
-            p.data = np.array(arr, dtype=np.float64)
+            p.data = np.array(arr, dtype=np.float64, order="C")

@@ -3,8 +3,8 @@
 A Network is an ordered list of dense layers that can be cut at any index
 into a prefix and a suffix whose composition reproduces the original forward
 bitwise. Parameter and MAC counting follow the multiply-accumulate
-convention: a layer of shape out x in costs out*in MACs per sample, bias add
-and activation excluded.
+convention: a layer from in to out features costs in*out MACs per sample,
+bias add and activation excluded.
 """
 
 from __future__ import annotations
@@ -22,17 +22,17 @@ LAYER_ACTIVATIONS = ("relu", "tanh", "none")
 
 @dataclass
 class DenseLayer:
-    weights: Tensor  # out x in
+    weights: Tensor  # in x out, C-contiguous: the dense kernel's bits depend on it
     bias: Tensor  # out
     activation: str = "none"
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[1]
 
     def param_count(self) -> int:
         return self.out_dim * self.in_dim + self.out_dim
@@ -95,7 +95,8 @@ def init_network(dims, activations, seed: int) -> Network:
 
     dims is the full width chain (len >= 1); activations has one entry per
     layer. Identical (seed, dims, activations) give bitwise-identical
-    parameters.
+    parameters. Each weight matrix is drawn as (out, in) and stored as its
+    C-contiguous (in, out) transpose.
     """
     dims = [int(d) for d in dims]
     if len(dims) < 1 or any(d <= 0 for d in dims):
@@ -115,7 +116,7 @@ def init_network(dims, activations, seed: int) -> Network:
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
         layers.append(
             DenseLayer(
-                weights=Tensor(w, requires_grad=True),
+                weights=Tensor(np.ascontiguousarray(w.T), requires_grad=True),
                 bias=Tensor(np.zeros(fan_out), requires_grad=True),
                 activation=act,
             )

@@ -24,7 +24,7 @@ from .errors import ConfigError, FormatError, TrainingError
 from .model import SwitchedAutoencoder, derive_seed, _SHUFFLE
 from .output import write_atomic, write_csv
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Columns of metrics.csv (l_total is kept in the checkpoint history only).
 METRICS_CSV_COLUMNS = ("epoch", "l_recon", "l_switch", "l_lwd", "l_comp", "sparsity", "switch_mae")
@@ -96,6 +96,17 @@ class TrainConfig:
                 f"epochs >= 0, batch_size > 0, finite lr > 0, checkpoint_every >= 0 "
                 f"required, got {self.epochs}, {self.batch_size}, {self.lr}, "
                 f"{self.checkpoint_every}"
+            )
+
+    def check_frame_len(self) -> None:
+        """The network reconstructs a frame, so it must read and write
+        frame_len samples. Checked where a config is parsed and where training
+        starts, not at construction: callers may set `data` afterwards."""
+        ends = (self.dims[0], self.dims[-1]) if self.dims else (None, None)
+        if not ends[0] == ends[1] == self.data.spec.frame_len:
+            raise ConfigError(
+                f"dims must start and end at data.frame_len, got dims[0] {ends[0]}, "
+                f"dims[-1] {ends[1]}, frame_len {self.data.spec.frame_len}"
             )
 
     def cadence(self) -> int:
@@ -177,8 +188,14 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
     final epoch. Raises TrainingError naming the epoch if the loss goes
     non-finite.
     """
+    cfg.check_frame_len()
     if dataset is None:
         dataset = build_dataset(cfg.data)
+    if not dataset.train:
+        raise ConfigError(
+            f"training: the train split is empty (train/calibrate/test sizes "
+            f"{dataset.split_sizes()}, ratios {cfg.data.ratios})"
+        )
     model = SwitchedAutoencoder(cfg.dims, cfg.activations, cfg.dsl, cfg.seed)
     named = model.named_parameters()
     state = AdamState(named, lr=cfg.lr)

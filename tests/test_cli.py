@@ -112,6 +112,24 @@ def test_train_with_non_finite_config_number_exits_2(workdir, capsys, section, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("data", "frame_len", 32, "frame_len 32"),
+    ("arch", "dims", [16, 8, 12, 32], "dims[-1] 32"),
+    ("arch", "dims", [32, 8, 12, 16], "dims[0] 32"),
+    ("data", "ratios", [0.0, 0.5, 0.5], "train split is empty"),
+], ids=["frame_len-32", "dims-end-32", "dims-start-32", "no-train-split"])
+def test_inconsistent_train_config_exits_2_without_output_dir(workdir, capsys, section, key,
+                                                              value, message):
+    tmp_path, config = workdir
+    doc = json.loads(config.read_text())
+    doc[section][key] = value
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_command_exits_2():
     assert cli.main(["frobnicate"]) == 2
 
@@ -282,6 +300,17 @@ class TestEval:
         doc = json.loads(ckpt.read_text())
         doc["format_version"] = 1
         bad = tmp_path / "v1.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["eval", str(config), str(bad)]) == 4
+        assert "error: checkpoint field format_version" in capsys.readouterr().err
+
+    def test_version_2_checkpoint_exits_4(self, trained, capsys):
+        # Version 2 stored weights (out, in): square layers would pass every
+        # shape check and load transposed.
+        tmp_path, config, ckpt = trained
+        doc = json.loads(ckpt.read_text())
+        doc["format_version"] = 2
+        bad = tmp_path / "v2.json"
         bad.write_text(json.dumps(doc))
         assert cli.main(["eval", str(config), str(bad)]) == 4
         assert "error: checkpoint field format_version" in capsys.readouterr().err

@@ -31,8 +31,8 @@ class TestForward:
         net = random_net([5, 4, 3], seed=3)
         x = Tensor(RNG.uniform(-1, 1, (6, 5)))
         l0, l1 = net.layers
-        h = ag.tanh(ag.add(ag.matmul(x, Tensor(l0.weights.data.T)), l0.bias))
-        expected = ag.add(ag.matmul(h, Tensor(l1.weights.data.T)), l1.bias)
+        h = ag.tanh(ag.add(ag.matmul(x, l0.weights), l0.bias))
+        expected = ag.add(ag.matmul(h, l1.weights), l1.bias)
         assert np.array_equal(net.forward(x).data, expected.data)
 
     def test_width_mismatch(self):
@@ -120,6 +120,17 @@ class TestInit:
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights.data, lb.weights.data)
             assert np.array_equal(la.bias.data, lb.bias.data)
+
+    def test_weights_drawn_out_in_and_stored_in_out(self):
+        # Storing the transpose keeps the initial values of the (out, in) draw.
+        rng = np.random.Generator(np.random.PCG64(99))
+        net = random_net([10, 8, 6], seed=99)
+        for layer, (fan_in, fan_out) in zip(net.layers, [(10, 8), (8, 6)]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            drawn = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+            assert layer.weights.data.flags.c_contiguous
+            assert layer.weights.data.tobytes() == np.ascontiguousarray(drawn.T).tobytes()
+            assert (layer.in_dim, layer.out_dim) == (fan_in, fan_out)
 
     def test_biases_zero(self):
         net = random_net([10, 8, 10], seed=1)

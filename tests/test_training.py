@@ -318,7 +318,7 @@ class TestCheckpointPersistence:
     def test_document_holds_only_what_is_read_back(self, saved):
         _, doc = saved
         assert set(doc) == {"format_version", "epoch", "params", "metrics"}
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
 
     def test_version_1_with_adam_block_rejected(self, saved):
         path, doc = saved
@@ -373,6 +373,35 @@ class TestCheckpointPersistence:
         training.save_checkpoint(result.checkpoints[-1], path)
         restored = training.restore_model(cfg, training.load_checkpoint(path))
         assert np.array_equal(restored.full_output(x).data, want)
+
+
+def assert_dense_layout(model: SwitchedAutoencoder) -> None:
+    """Every dense weight matrix is C-contiguous (in, out): the dense kernel's
+    bits and speed both depend on that layout."""
+    for net in (model.net, model.switch.net, model.light):
+        widths = [net.input_dim] + [layer.bias.shape[0] for layer in net.layers]
+        for k, layer in enumerate(net.layers):
+            w = layer.weights.data
+            assert w.flags.c_contiguous
+            assert w.shape == (widths[k], widths[k + 1])
+        if net is model.net:
+            assert widths == model.dims
+
+
+def test_dense_weights_stay_c_contiguous_in_out(tmp_path):
+    cfg = tiny_config()
+    model = SwitchedAutoencoder(cfg.dims, cfg.activations, cfg.dsl, cfg.seed)
+    assert_dense_layout(model)
+
+    named = model.named_parameters()
+    x = Tensor(dat.frames_to_matrix(training.build_dataset(cfg.data).train[:16]))
+    ag.backward(training.total_loss(x, model)[0])
+    training.adam_step(named, training.AdamState(named))
+    assert_dense_layout(model)
+
+    path = tmp_path / "ckpt.json"
+    training.save_checkpoint(training.Checkpoint(1, model.state_arrays(), []), path)
+    assert_dense_layout(training.restore_model(cfg, training.load_checkpoint(path)))
 
 
 class TestMetricsCsv:

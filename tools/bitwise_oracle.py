@@ -17,10 +17,13 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
   on the TINY_CONFIG of tests/test_cli.py, each at `--jobs 1` and `--jobs 2`,
   into OUT_DIR/runs/<command>-jobs<N>.
 
-Then writes OUT_DIR/sha256.txt, one `digest  relative/path` line per file
-under OUT_DIR/runs, sorted by path. A refactoring that must not move any
-bit is checked by running this on the parent commit and on the change and
-comparing the two manifests. OUT_DIR must not exist yet.
+Then writes OUT_DIR/sha256.txt: one leading `#` line naming the build that
+made the bits (numpy version, BLAS name and version, BLAS thread count and
+machine), then one `digest  relative/path` line per file under OUT_DIR/runs,
+sorted by path. A refactoring that must not move any bit is checked by
+running this on the parent commit and on the change, on the same build, and
+comparing the two manifests; manifests whose `#` lines differ come from
+different builds and are not comparable. OUT_DIR must not exist yet.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
+                os.path.join(ROOT, "perfbench")]
 
 from switchpass import cli, training  # noqa: E402
 from switchpass import data as dat  # noqa: E402
 from switchpass.autograd import Tensor  # noqa: E402
+from run import machine_facts  # noqa: E402  (perfbench/run.py)
 
 
 def _config(out_dir: str, name: str, doc: dict) -> str:
@@ -69,6 +74,13 @@ def _write_inference(config: str, checkpoint: str) -> None:
     for name, arr in outputs.items():
         with open(os.path.join(run_dir, "inference", f"{name}.bin"), "wb") as fh:
             fh.write(arr.tobytes())
+
+
+def build_line() -> str:
+    """The manifest's leading line: the build the contract pins the bits to."""
+    facts = machine_facts()
+    return (f"# numpy {facts['numpy']}  blas {facts['blas']}  "
+            f"blas_threads {facts['blas_threads']}  machine {facts['machine']}")
 
 
 def run_oracle(out_dir: str) -> list[str]:
@@ -106,7 +118,7 @@ def main(argv: list[str]) -> int:
     out_dir = argv[0]
     lines = run_oracle(out_dir)
     with open(os.path.join(out_dir, "sha256.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([build_line(), *lines]) + "\n")
     print(f"{len(lines)} files hashed into {os.path.join(out_dir, 'sha256.txt')}")
     return 0
 
