@@ -41,8 +41,19 @@ def _defaults() -> dict:
 
 DEFAULTS = _defaults()
 
-# dsl.tau and dsl.target_light_fraction are optional and mutually exclusive.
-_OPTIONAL_KEYS = {"dsl": {"tau", "target_light_fraction"}}
+# The JSON type of each key: float takes any number and reads it as a float,
+# [t] a list of t, and a bool is none of them. dsl.tau and
+# dsl.target_light_fraction have no default: they are optional and mutually exclusive.
+_KEY_TYPES = {
+    "arch": {"dims": [int], "activations": [str], "placement": int, "rho": float},
+    "dsl": {"alpha": float, "beta": float, "eps": float, "tau": float,
+            "target_light_fraction": float},
+    "data": {"frame_len": int, "easy_noise_amp": float, "hard_components": int,
+             "hard_freq_range": [float], "hard_amp_range": [float], "seed": int,
+             "n_easy": int, "n_hard": int, "ratios": [float], "wav_paths": [str]},
+    "train": {"epochs": int, "batch_size": int, "lr": float, "seed": int,
+              "checkpoint_every": int},
+}
 
 
 @dataclass
@@ -62,14 +73,24 @@ def check_routing_inputs(tau: float | None, fraction: float | None) -> None:
         raise ConfigError(f"target_light_fraction must be in [0, 1], got {fraction}")
 
 
+def _typed(value, kind, where: str):
+    """value if it has the JSON type `kind` (see _KEY_TYPES), else ConfigError naming where."""
+    if isinstance(kind, list):
+        if type(value) is not list:
+            raise ConfigError(f"config {where}: expected a list, got {value!r}")
+        return [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if type(value) is kind or (kind is float and type(value) is int):
+        return float(value) if kind is float else value
+    raise ConfigError(f"config {where}: expected {kind.__name__}, got {value!r}")
+
+
 def _merge_section(name: str, user: dict) -> dict:
-    defaults = DEFAULTS[name]
-    allowed = set(defaults) | _OPTIONAL_KEYS.get(name, set())
-    unknown = set(user) - allowed
+    types = _KEY_TYPES[name]
+    unknown = set(user) - set(types)
     if unknown:
         raise ConfigError(f"config section {name}: unknown keys {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(user)
+    merged = dict(DEFAULTS[name])
+    merged.update({k: _typed(v, types[k], f"{name}.{k}") for k, v in user.items()})
     return merged
 
 
@@ -89,45 +110,43 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config section dsl: tau and target_light_fraction are mutually exclusive")
 
     switch_cfg = routing.SwitchConfig(
-        alpha=float(dsl["alpha"]),
-        beta=float(dsl["beta"]),
-        eps=float(dsl["eps"]),
-        rho=float(arch["rho"]),
-        placement=int(arch["placement"]),
+        alpha=dsl["alpha"],
+        beta=dsl["beta"],
+        eps=dsl["eps"],
+        rho=arch["rho"],
+        placement=arch["placement"],
     )
     spec = dat.SignalSpec(
-        frame_len=int(datasec["frame_len"]),
-        easy_noise_amp=float(datasec["easy_noise_amp"]),
-        hard_components=int(datasec["hard_components"]),
-        hard_freq_range=tuple(float(v) for v in datasec["hard_freq_range"]),
-        hard_amp_range=tuple(float(v) for v in datasec["hard_amp_range"]),
-        seed=int(datasec["seed"]),
+        frame_len=datasec["frame_len"],
+        easy_noise_amp=datasec["easy_noise_amp"],
+        hard_components=datasec["hard_components"],
+        hard_freq_range=tuple(datasec["hard_freq_range"]),
+        hard_amp_range=tuple(datasec["hard_amp_range"]),
+        seed=datasec["seed"],
     )
     data_cfg = DataConfig(
         spec=spec,
-        n_easy=int(datasec["n_easy"]),
-        n_hard=int(datasec["n_hard"]),
-        ratios=tuple(float(v) for v in datasec["ratios"]),
+        n_easy=datasec["n_easy"],
+        n_hard=datasec["n_hard"],
+        ratios=tuple(datasec["ratios"]),
         wav_paths=list(datasec["wav_paths"]),
     )
     train_cfg = TrainConfig(
-        dims=[int(d) for d in arch["dims"]],
+        dims=list(arch["dims"]),
         activations=list(arch["activations"]),
         dsl=switch_cfg,
         data=data_cfg,
-        epochs=int(train["epochs"]),
-        batch_size=int(train["batch_size"]),
-        lr=float(train["lr"]),
-        seed=int(train["seed"]),
-        checkpoint_every=int(train["checkpoint_every"]),
+        epochs=train["epochs"],
+        batch_size=train["batch_size"],
+        lr=train["lr"],
+        seed=train["seed"],
+        checkpoint_every=train["checkpoint_every"],
     )
     train_cfg.check_frame_len()
     output_dir = doc.get("output_dir", DEFAULTS["output_dir"])
     if not isinstance(output_dir, str):
         raise ConfigError(f"config: output_dir must be a string, got {output_dir!r}")
-    tau = float(dsl["tau"]) if "tau" in dsl else None
-    tlf = dsl.get("target_light_fraction")
-    tlf = None if tlf is None else float(tlf)
+    tau, tlf = dsl.get("tau"), dsl.get("target_light_fraction")
     check_routing_inputs(tau, tlf)
     return RunConfig(train_cfg=train_cfg, output_dir=output_dir, tau=tau,
                      target_light_fraction=tlf)
@@ -135,11 +154,11 @@ def parse_config(doc: dict) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path}: invalid JSON: {exc}")
     try:
         return parse_config(doc)

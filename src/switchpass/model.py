@@ -43,7 +43,7 @@ class SwitchedAutoencoder:
 
         self.net = nn.init_network(dims, activations, derive_seed(seed, _NET))
         self.prefix, self.suffix = self.net.split_at(cfg.placement)
-        d = self.net.width_at(cfg.placement)
+        d = self.suffix.input_dim
         self.mask = routing.LatentMask(d, eps=cfg.eps)
         self.switch = routing.build_switch(d, seed=derive_seed(seed, _SWITCH))
         self.light = routing.build_light_decoder(
@@ -67,8 +67,6 @@ class SwitchedAutoencoder:
         return routing.infer_latent(self.prefix, self.mask, x)
 
     def masked_latent(self, x: Tensor, mode: str) -> Tensor:
-        if mode == "infer":
-            return Tensor(self.infer_latent(x.data))
         if mode != "train":
             raise ContractError(f"masked_latent: unknown mode {mode!r}")
         return self.mask.apply(self.prefix.forward(x))

@@ -75,12 +75,6 @@ class Network:
             Network(self.layers[i:], suffix_in),
         )
 
-    def width_at(self, i: int) -> int:
-        """Activation width flowing out of split point i."""
-        if not 0 <= i <= len(self.layers):
-            raise IndexError(f"width_at: index {i} out of range for {len(self.layers)} layers")
-        return self.input_dim if i == 0 else self.layers[i - 1].out_dim
-
 
 def param_count(net: Network) -> int:
     return sum(layer.param_count() for layer in net.layers)

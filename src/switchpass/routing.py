@@ -197,11 +197,6 @@ LIGHT_ROUTE = RouteDecision(LIGHT)
 FULL_ROUTE = RouteDecision(FULL)
 
 
-def route(predicted: float, tau: float) -> RouteDecision:
-    """Light strictly below tau; ties go full, the safe direction."""
-    return LIGHT_ROUTE if predicted < tau else FULL_ROUTE
-
-
 def calibrate_threshold(predictions, target_light_fraction: float) -> float:
     """Threshold at which roughly `target_light_fraction` of the calibration
     predictions would route light.
@@ -232,8 +227,9 @@ def mixed_forward(
     """Routes each sample of the batch through exactly one decoder.
 
     Computes the hard-masked activation once, asks the switch for a predicted
-    distance per sample, and runs the lightweight decoder on the rows below
-    tau (the `route` rule) and the full suffix on the rest, on plain arrays.
+    distance per sample, and runs the lightweight decoder on the rows strictly
+    below tau and the full suffix on the rest, on plain arrays. Ties go full,
+    the safe direction.
     """
     h = infer_latent(prefix, mask, x.data)
     preds = switch.infer(h)

@@ -9,9 +9,9 @@ backward pass per batch covers everything.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +24,10 @@ from .errors import ConfigError, FormatError, TrainingError
 from .model import SwitchedAutoencoder, derive_seed, _SHUFFLE
 from .output import write_atomic, write_csv
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
-#: Columns of metrics.csv (l_total is kept in the checkpoint history only).
+#: Columns of metrics.csv. l_total is left out: it is the weighted sum of the
+#: other loss terms, and the final epoch's value is kept in summary.json.
 METRICS_CSV_COLUMNS = ("epoch", "l_recon", "l_switch", "l_lwd", "l_comp", "sparsity", "switch_mae")
 
 
@@ -165,7 +166,6 @@ def switch_mae(model: SwitchedAutoencoder, frames) -> float:
 class Checkpoint:
     epoch: int
     params: dict[str, np.ndarray]
-    metrics: list[dict]
 
 
 @dataclass
@@ -174,11 +174,6 @@ class TrainResult:
     dataset: dat.Dataset
     checkpoints: list[Checkpoint]
     metrics: list[dict]
-
-
-def _snapshot(model: SwitchedAutoencoder, epoch: int, metrics: list[dict]) -> Checkpoint:
-    return Checkpoint(epoch=epoch, params=model.state_arrays(),
-                      metrics=[dict(m) for m in metrics])
 
 
 def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
@@ -204,7 +199,7 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
     train_mat = dat.frames_to_matrix(dataset.train)
     n = train_mat.shape[0]
     metrics: list[dict] = []
-    checkpoints = [_snapshot(model, 0, metrics)]
+    checkpoints = [Checkpoint(0, model.state_arrays())]
     cadence = cfg.cadence()
 
     for epoch in range(1, cfg.epochs + 1):
@@ -231,9 +226,9 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
         row["switch_mae"] = switch_mae(model, dataset.calibrate) if dataset.calibrate else 0.0
         metrics.append(row)
         if epoch % cadence == 0 and epoch != cfg.epochs:
-            checkpoints.append(_snapshot(model, epoch, metrics))
+            checkpoints.append(Checkpoint(epoch, model.state_arrays()))
     if cfg.epochs > 0:
-        checkpoints.append(_snapshot(model, cfg.epochs, metrics))
+        checkpoints.append(Checkpoint(cfg.epochs, model.state_arrays()))
     return TrainResult(model=model, dataset=dataset, checkpoints=checkpoints, metrics=metrics)
 
 
@@ -247,32 +242,29 @@ def restore_model(cfg: TrainConfig, ckpt: Checkpoint) -> SwitchedAutoencoder:
 
 
 def _array_doc(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "values": [float(v) for v in arr.ravel()]}
-
-
-def _finite_number(v) -> bool:
-    # JSON true/false/null and strings are not parameter values (bool is an int).
-    if type(v) is int:
-        return abs(v) <= sys.float_info.max
-    return type(v) is float and math.isfinite(v)
+    return {"shape": list(arr.shape),
+            "float64le": np.ascontiguousarray(arr, "<f8").tobytes().hex()}
 
 
 def _doc_array(doc, path: str) -> np.ndarray:
-    if not isinstance(doc, dict) or set(doc) != {"shape", "values"}:
+    if not isinstance(doc, dict) or set(doc) != {"shape", "float64le"}:
         raise FormatError(f"checkpoint field {path}: expected an array document")
-    shape = doc["shape"]
-    values = doc["values"]
+    shape, text = doc["shape"], doc["float64le"]
     if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise FormatError(f"checkpoint field {path}.shape: invalid shape {shape!r}")
-    expected = int(np.prod(shape)) if shape else 1
-    if not isinstance(values, list) or len(values) != expected:
+    try:
+        # Unlike bytes.fromhex, this takes no whitespace. Non-text raises TypeError.
+        raw = binascii.a2b_hex(text)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint field {path}.float64le: expected hex text: {exc}") from exc
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
         raise FormatError(
-            f"checkpoint field {path}.values: expected {expected} values, "
-            f"got {len(values) if isinstance(values, list) else type(values).__name__}"
-        )
-    if not all(map(_finite_number, values)):
-        raise FormatError(f"checkpoint field {path}.values: expected finite numbers")
-    return np.array(values, dtype=np.float64).reshape(shape)
+            f"checkpoint field {path}.float64le: expected {expected} bytes, got {len(raw)}")
+    arr = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"checkpoint field {path}.float64le: expected finite numbers")
+    return arr
 
 
 def checkpoint_json(ckpt: Checkpoint) -> str:
@@ -281,7 +273,6 @@ def checkpoint_json(ckpt: Checkpoint) -> str:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "epoch": ckpt.epoch,
         "params": {k: _array_doc(v) for k, v in ckpt.params.items()},
-        "metrics": ckpt.metrics,
     }
     return json.dumps(doc, indent=1) + "\n"
 
@@ -297,9 +288,9 @@ def load_checkpoint(path) -> Checkpoint:
     """Reads a checkpoint document; any structural defect raises FormatError
     naming the field, and nothing is returned partially restored."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"checkpoint {path}: invalid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"checkpoint {path}: top level must be an object")
@@ -309,7 +300,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint field format_version: got {version!r}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    for key in ("epoch", "params", "metrics"):
+    for key in ("epoch", "params"):
         if key not in doc:
             raise FormatError(f"checkpoint field {key}: missing")
     if type(doc["epoch"]) is not int:
@@ -317,9 +308,7 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(doc["params"], dict):
         raise FormatError("checkpoint field params: expected an object")
     params = {k: _doc_array(v, f"params.{k}") for k, v in doc["params"].items()}
-    if not isinstance(doc["metrics"], list):
-        raise FormatError("checkpoint field metrics: expected a list")
-    return Checkpoint(epoch=doc["epoch"], params=params, metrics=doc["metrics"])
+    return Checkpoint(epoch=doc["epoch"], params=params)
 
 
 def write_metrics_csv(metrics: list[dict], path) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from switchpass import cli, routing, training
 from switchpass import data as dat
-from switchpass.config import CLI_DATA_SEED, parse_config
+from switchpass.config import CLI_DATA_SEED, DEFAULTS, parse_config
 from switchpass.errors import ConfigError
 from switchpass.training import DataConfig, TrainConfig
 
@@ -55,6 +55,13 @@ def test_invalid_json_config_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert cli.main(["train", str(path)]) == 2
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"output_dir": "\xff"}')
+    assert cli.main(["train", str(path)]) == 2
+    assert "error: config" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -128,6 +135,38 @@ def test_inconsistent_train_config_exits_2_without_output_dir(workdir, capsys, s
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value, where", [
+    ("train", "epochs", 2.5, "train.epochs"),
+    ("train", "batch_size", True, "train.batch_size"),
+    ("arch", "placement", 1.9, "arch.placement"),
+    ("arch", "dims", [16, 8.9, 12, 16], "arch.dims[1]"),
+    ("train", "lr", "0.001", "train.lr"),
+    ("data", "wav_paths", "abc", "data.wav_paths"),
+    ("data", "ratios", [0.5, False, 0.5], "data.ratios[1]"),
+    ("arch", "activations", "tanh", "arch.activations"),
+    ("dsl", "tau", None, "dsl.tau"),
+], ids=["epochs-float", "batch_size-bool", "placement-float", "dims-float", "lr-string",
+        "wav_paths-string", "ratios-bool", "activations-string", "tau-null"])
+def test_config_value_of_wrong_type_exits_2(workdir, capsys, section, key, value, where):
+    tmp_path, config = workdir
+    doc = json.loads(config.read_text())
+    doc[section][key] = value
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", str(config)]) == 2
+    assert f"error: config {where}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_accepted_for_number_key():
+    run = parse_config({"train": {"lr": 1}, "dsl": {"tau": 0}})
+    assert (type(run.train_cfg.lr), run.train_cfg.lr) == (float, 1.0)
+    assert (type(run.tau), run.tau) == (float, 0.0)
+
+
+def test_defaults_written_as_json_parse_to_the_defaults():
+    assert parse_config(json.loads(json.dumps(DEFAULTS))) == parse_config({})
 
 
 def test_unknown_command_exits_2():
@@ -289,11 +328,18 @@ class TestEval:
     def test_null_mask_weights_exit_4(self, trained, capsys):
         tmp_path, config, ckpt = trained
         doc = json.loads(ckpt.read_text())
-        doc["params"]["mask.w"]["values"] = [None] * len(doc["params"]["mask.w"]["values"])
+        doc["params"]["mask.w"]["float64le"] = None
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert cli.main(["eval", str(config), str(bad), "--tau", "0.1"]) == 4
-        assert "error: checkpoint field params.mask.w.values" in capsys.readouterr().err
+        assert "error: checkpoint field params.mask.w.float64le" in capsys.readouterr().err
+
+    def test_non_utf8_checkpoint_exits_4(self, trained, capsys):
+        tmp_path, config, ckpt = trained
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(ckpt.read_bytes().replace(b'"epoch"', b'"\xffepoch"', 1))
+        assert cli.main(["eval", str(config), str(bad)]) == 4
+        assert "error: checkpoint" in capsys.readouterr().err
 
     def test_version_1_checkpoint_exits_4(self, trained, capsys):
         tmp_path, config, ckpt = trained
@@ -314,6 +360,23 @@ class TestEval:
         bad.write_text(json.dumps(doc))
         assert cli.main(["eval", str(config), str(bad)]) == 4
         assert "error: checkpoint field format_version" in capsys.readouterr().err
+
+    def test_version_3_checkpoint_exits_4(self, trained, capsys):
+        # Version 3 stored each array as a list of JSON decimals, and the
+        # metric history beside the parameters.
+        tmp_path, config, ckpt = trained
+        doc = json.loads(ckpt.read_text())
+        doc["format_version"] = 3
+        doc["params"] = {
+            k: {"shape": v["shape"],
+                "values": np.frombuffer(bytes.fromhex(v["float64le"]), "<f8").tolist()}
+            for k, v in doc["params"].items()}
+        doc["metrics"] = []
+        bad = tmp_path / "v3.json"
+        bad.write_text(json.dumps(doc, indent=1) + "\n")
+        assert cli.main(["eval", str(config), str(bad)]) == 4
+        assert "error: checkpoint field format_version: got 3, expected 4" \
+            in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_5(self, trained):
         tmp_path, config, _ = trained

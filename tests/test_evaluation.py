@@ -57,7 +57,7 @@ class TestRoutingStats:
         replay: dict = {}
         for frame, p in zip(frames, preds):
             slot = replay.setdefault(str(frame.difficulty), {"light": 0, "full": 0})
-            slot[routing.route(p, tau).kind] += 1
+            slot[routing.LIGHT if p < tau else routing.FULL] += 1
         assert report.counts == replay
         assert sum(sum(s.values()) for s in report.counts.values()) == report.n
 

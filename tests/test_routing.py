@@ -176,17 +176,43 @@ class TestBlockLoss:
         assert abs(out.item() - 2e-5) < 1e-18
 
 
+def constant_switch_model(bias: float) -> SwitchedAutoencoder:
+    """A small model whose switch predicts softplus(bias) for every row."""
+    model = SwitchedAutoencoder([8, 6, 5, 8], ["tanh", "relu", "none"],
+                                routing.SwitchConfig(rho=0.5), seed=17)
+    last = model.switch.net.layers[-1]
+    last.weights.data = np.zeros_like(last.weights.data)
+    last.bias.data = np.full_like(last.bias.data, bias)
+    return model
+
+
+ROUTE_X = Tensor(np.random.default_rng(7).uniform(-1, 1, (5, 8)))
+
+
 class TestRoute:
     def test_zero_prediction_routes_light(self):
-        assert routing.route(0.0, 0.5).kind == routing.LIGHT
+        model = constant_switch_model(-1000.0)  # softplus underflows to exactly 0
+        assert np.all(model.switch_predictions(ROUTE_X) == 0.0)
+        _, decisions = model.mixed_output(ROUTE_X, 0.5)
+        assert all(d.kind == routing.LIGHT for d in decisions)
 
     def test_tie_routes_full(self):
-        assert routing.route(0.5, 0.5).kind == routing.FULL
+        model = constant_switch_model(0.0)
+        tau = float(model.switch_predictions(ROUTE_X)[0])
+        _, decisions = model.mixed_output(ROUTE_X, tau)
+        assert all(d.kind == routing.FULL for d in decisions)
+        _, decisions = model.mixed_output(ROUTE_X, float(np.nextafter(tau, np.inf)))
+        assert all(d.kind == routing.LIGHT for d in decisions)
 
     def test_decisions_are_two_frozen_shared_values(self):
         assert [f.name for f in dataclasses.fields(routing.RouteDecision)] == ["kind"]
-        assert routing.route(0.0, 0.5) is routing.route(0.25, 0.5) is routing.LIGHT_ROUTE
-        assert routing.route(0.5, 0.5) is routing.FULL_ROUTE
+        model = TestMixedOutputProperties.MODEL
+        preds = model.switch_predictions(ROUTE_X)
+        tau = float(np.median(preds))
+        _, decisions = model.mixed_output(ROUTE_X, tau)
+        assert {id(d) for d in decisions} == {id(routing.LIGHT_ROUTE), id(routing.FULL_ROUTE)}
+        for d, p in zip(decisions, preds):
+            assert d is (routing.LIGHT_ROUTE if p < tau else routing.FULL_ROUTE)
         with pytest.raises(dataclasses.FrozenInstanceError):
             routing.LIGHT_ROUTE.kind = routing.FULL
 
@@ -195,7 +221,11 @@ class TestCalibration:
     def test_degenerate_distribution(self):
         tau = routing.calibrate_threshold([2.5] * 10, 0.5)
         assert tau == 2.5
-        assert sum(routing.route(2.5, tau).kind == routing.LIGHT for _ in range(3)) == 0
+        model = constant_switch_model(0.0)
+        tau = routing.calibrate_threshold(model.switch_predictions(ROUTE_X), 0.5)
+        assert tau == model.switch_predictions(ROUTE_X)[0]
+        _, decisions = model.mixed_output(ROUTE_X, tau)
+        assert all(d.kind == routing.FULL for d in decisions)
 
     def test_full_fraction(self):
         assert routing.calibrate_threshold([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
@@ -340,7 +370,8 @@ def check_each_row_equals_its_single_row_pass(model, pool, rows, fraction):
     assert len(decisions) == len(rows)
     for i, decision in enumerate(decisions):
         xi = Tensor(x.data[i:i + 1])
-        assert decision is routing.route(model.switch_predictions(xi)[0], tau)
+        routes_light = model.switch_predictions(xi)[0] < tau
+        assert decision is (routing.LIGHT_ROUTE if routes_light else routing.FULL_ROUTE)
         single = model.light_output(xi) if decision.kind == routing.LIGHT \
             else model.full_output(xi)
         assert out.data[i].tobytes() == single.data[0].tobytes()
@@ -399,7 +430,7 @@ class TestMixedOutputProperties:
             "full": lambda: model.full_output(x),
             "light": lambda: model.light_output(x),
             "mixed": lambda: model.mixed_output(x, tau)[0],
-            "latent": lambda: model.masked_latent(x, "infer"),
+            "latent": lambda: model.infer_latent(x.data),
             "switch": lambda: model.switch_predictions(x),
             "scatter": lambda: model.switch_scatter(x),
         }

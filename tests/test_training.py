@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -268,6 +269,10 @@ class TestTrainLoop:
         assert [c.epoch for c in result.checkpoints] == [0, 4, 8, 10]
 
 
+def float64le(*values) -> str:
+    return np.array(values, "<f8").tobytes().hex()
+
+
 class TestCheckpointPersistence:
     @pytest.fixture()
     def saved(self, tmp_path):
@@ -283,9 +288,11 @@ class TestCheckpointPersistence:
         training.save_checkpoint(ckpt, path)
         loaded = training.load_checkpoint(path)
         assert loaded.epoch == ckpt.epoch
-        for name in ckpt.params:
-            assert np.array_equal(loaded.params[name], ckpt.params[name])
-        assert loaded.metrics == ckpt.metrics
+        assert list(loaded.params) == list(ckpt.params)
+        for name, want in ckpt.params.items():
+            got = loaded.params[name]
+            assert (got.dtype, got.shape) == (np.float64, want.shape)
+            assert got.tobytes() == want.tobytes()
 
     def test_save_load_save_byte_identical(self, tmp_path):
         result = training.train(tiny_config())
@@ -293,6 +300,20 @@ class TestCheckpointPersistence:
         training.save_checkpoint(result.checkpoints[-1], p1)
         training.save_checkpoint(training.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_extreme_values_round_trip_bitwise(self, tmp_path):
+        tiny, huge = 5e-324, 1.7976931348623157e308
+        params = {"a": np.array([[-0.0, tiny], [huge, -huge]]), "b": np.array(-tiny),
+                  "c": np.zeros((0, 3)), "d": np.array([0.1, 1 / 3])}
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        training.save_checkpoint(training.Checkpoint(epoch=7, params=params), p1)
+        loaded = training.load_checkpoint(p1)
+        training.save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        for name, want in params.items():
+            assert loaded.params[name].shape == want.shape
+            assert loaded.params[name].tobytes() == want.tobytes()
+        assert np.signbit(loaded.params["a"][0, 0])
 
     def test_truncated_file_rejected(self, saved):
         path, _ = saved
@@ -303,9 +324,10 @@ class TestCheckpointPersistence:
 
     def test_corrupt_field_names_path(self, saved):
         path, doc = saved
-        doc["params"]["mask.w"]["values"] = doc["params"]["mask.w"]["values"][:-1]
+        doc["params"]["mask.w"]["float64le"] = doc["params"]["mask.w"]["float64le"][:-16]
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=r"params\.mask\.w"):
+        with pytest.raises(FormatError,
+                           match=r"params\.mask\.w\.float64le: expected 64 bytes, got 56"):
             training.load_checkpoint(path)
 
     def test_version_mismatch(self, saved):
@@ -317,14 +339,18 @@ class TestCheckpointPersistence:
 
     def test_document_holds_only_what_is_read_back(self, saved):
         _, doc = saved
-        assert set(doc) == {"format_version", "epoch", "params", "metrics"}
-        assert doc["format_version"] == 3
+        assert set(doc) == {"format_version", "epoch", "params"}
+        assert doc["format_version"] == 4
+        for array in doc["params"].values():
+            assert set(array) == {"shape", "float64le"}
+            assert len(array["float64le"]) == 16 * math.prod(array["shape"])
 
     def test_version_1_with_adam_block_rejected(self, saved):
         path, doc = saved
-        zeros = {k: {"shape": v["shape"], "values": [0.0] * len(v["values"])}
+        zeros = {k: {"shape": v["shape"], "values": [0.0] * math.prod(v["shape"])}
                  for k, v in doc["params"].items()}
         doc["format_version"] = 1
+        doc["params"] = zeros
         doc["adam"] = {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "t": 0,
                        "m": zeros, "v": zeros}
         path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -338,29 +364,47 @@ class TestCheckpointPersistence:
         with pytest.raises(FormatError, match="field params: expected an object"):
             training.load_checkpoint(path)
 
-    @pytest.mark.parametrize("value", ["x", None, True, float("inf"), 10 ** 400],
-                             ids=["string", "null", "true", "infinity", "huge-int"])
-    def test_non_finite_number_names_field(self, saved, value):
+    # Each case rewrites mask.w's hex text h (8 values, 128 hex digits).
+    @pytest.mark.parametrize("corrupt", [
+        lambda h: "xy" + h[2:],
+        lambda h: None,
+        lambda h: True,
+        lambda h: float64le(np.inf) + h[16:],
+        lambda h: 10 ** 400,
+        lambda h: h[:16] + float64le(np.nan) + h[32:],
+        lambda h: h[:-16] + float64le(-np.inf),
+        lambda h: h[:-1],
+        lambda h: "\u00e9" + h[1:],
+        lambda h: h[:16] + " " + h[17:],
+        lambda h: h + float64le(1.0),
+        lambda h: [h],
+    ], ids=["string", "null", "true", "infinity", "huge-int", "nan", "negative-infinity",
+            "odd-length", "non-ascii", "whitespace", "extra-value", "list"])
+    def test_non_finite_number_names_field(self, saved, corrupt):
         path, doc = saved
-        doc["params"]["mask.w"]["values"][0] = value
+        doc["params"]["mask.w"]["float64le"] = corrupt(doc["params"]["mask.w"]["float64le"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=r"params\.mask\.w\.values"):
+        with pytest.raises(FormatError, match=r"params\.mask\.w\.float64le"):
             training.load_checkpoint(path)
 
-    def test_integer_value_loads_as_float(self, saved):
+    @pytest.mark.parametrize("shape", [[-1, 8], [8.0], None, [True] * 8],
+                             ids=["negative", "float", "null", "bool"])
+    def test_invalid_shape_names_field(self, saved, shape):
         path, doc = saved
-        doc["params"]["mask.w"]["values"][0] = 2
+        doc["params"]["mask.w"]["shape"] = shape
         path.write_text(json.dumps(doc))
-        assert training.load_checkpoint(path).params["mask.w"][0] == 2.0
+        with pytest.raises(FormatError, match=r"params\.mask\.w\.shape"):
+            training.load_checkpoint(path)
 
     def test_failed_save_keeps_previous_file(self, saved):
         path, _ = saved
         before = path.read_bytes()
-        # The parameters are dumped before the metrics, so the failure is mid-write.
-        bad = training.Checkpoint(epoch=1, params=training.load_checkpoint(path).params,
-                                  metrics=[{"epoch": 1, "l_recon": object()}])
+        # The last array cannot be converted to float64: the save fails after
+        # the other arrays are encoded, before anything is written.
+        params = training.load_checkpoint(path).params
+        params[list(params)[-1]] = np.array([object()], dtype=object)
         with pytest.raises(TypeError):
-            training.save_checkpoint(bad, path)
+            training.save_checkpoint(training.Checkpoint(epoch=1, params=params), path)
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir()] == ["ckpt.json"]
 
@@ -400,7 +444,7 @@ def test_dense_weights_stay_c_contiguous_in_out(tmp_path):
     assert_dense_layout(model)
 
     path = tmp_path / "ckpt.json"
-    training.save_checkpoint(training.Checkpoint(1, model.state_arrays(), []), path)
+    training.save_checkpoint(training.Checkpoint(1, model.state_arrays()), path)
     assert_dense_layout(training.restore_model(cfg, training.load_checkpoint(path)))
 
 

@@ -19,11 +19,18 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
 
 Then writes OUT_DIR/sha256.txt: one leading `#` line naming the build that
 made the bits (numpy version, BLAS name and version, BLAS thread count and
-machine), then one `digest  relative/path` line per file under OUT_DIR/runs,
-sorted by path. A refactoring that must not move any bit is checked by
-running this on the parent commit and on the change, on the same build, and
-comparing the two manifests; manifests whose `#` lines differ come from
-different builds and are not comparable. OUT_DIR must not exist yet.
+machine), then one `digest  relative/path` line per file under OUT_DIR/runs
+and one `digest  relative/path#params` line per `checkpoint_*.json`, sorted
+by path. A `#params` digest covers the checkpoint's epoch and each
+parameter's name, shape and `.tobytes()` in name order, read through this
+tree's `training.load_checkpoint`: it compares parameter bits across
+checkpoint formats, where the file digests differ. To compare with an
+older commit, copy this script into that commit's `tools/`.
+
+A refactoring that must not move any bit is checked by running this on the
+parent commit and on the change, on the same build, and comparing the two
+manifests; manifests whose `#` lines differ come from different builds and
+are not comparable. OUT_DIR must not exist yet.
 """
 
 from __future__ import annotations
@@ -76,6 +83,17 @@ def _write_inference(config: str, checkpoint: str) -> None:
             fh.write(arr.tobytes())
 
 
+def params_digest(path: str) -> str:
+    """Digest of a checkpoint's epoch and parameters, independent of its file format."""
+    ckpt = training.load_checkpoint(path)
+    h = hashlib.sha256(f"epoch {ckpt.epoch}\n".encode())
+    for name in sorted(ckpt.params):
+        arr = ckpt.params[name]
+        h.update(f"{name} {arr.shape}\n".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def build_line() -> str:
     """The manifest's leading line: the build the contract pins the bits to."""
     facts = machine_facts()
@@ -108,6 +126,8 @@ def run_oracle(out_dir: str) -> list[str]:
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append(f"{digest}  {os.path.relpath(path, runs)}")
+            if name.startswith("checkpoint_") and name.endswith(".json"):
+                lines.append(f"{params_digest(path)}  {os.path.relpath(path, runs)}#params")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
