@@ -4,8 +4,8 @@ the cheap path.
 The model is a dense autoencoder with a block inserted after the first
 layer: a multiplicative mask on the activation, a tiny regressor (the
 switch) that predicts how far the lightweight decoder will land from the
-full one, and the lightweight decoder itself, a quarter-width mirror of the
-remaining layers trained by imitation. At inference the switch's prediction
+full one, and the lightweight decoder itself, a shallow two-layer stand-in
+for the remaining layers trained by imitation. At inference the switch's prediction
 against a threshold decides which decoder runs.
 
 Runtime: a couple of minutes on a desktop CPU.

@@ -80,7 +80,12 @@ def _typed(value, kind, where: str):
             raise ConfigError(f"config {where}: expected a list, got {value!r}")
         return [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
     if type(value) is kind or (kind is float and type(value) is int):
-        return float(value) if kind is float else value
+        if kind is not float:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config {where}: integer too large for a float") from None
     raise ConfigError(f"config {where}: expected {kind.__name__}, got {value!r}")
 
 

@@ -2,8 +2,8 @@
 
 The block sits at a chosen depth inside an autoencoder. The mask multiplies
 each latent dimension by a learned weight (L1-penalized so unused dimensions
-collapse to zero), the lightweight decoder is a reduced-width mirror of the
-remaining layers trained to imitate them, and the switch is a tiny regressor
+collapse to zero), the lightweight decoder is a shallow two-layer network
+trained to imitate the remaining layers, and the switch is a tiny regressor
 that predicts, per sample, how far the lightweight output will land from the
 full one. At inference the predicted distance against a threshold decides
 which of the two passes runs.
@@ -121,16 +121,24 @@ def build_switch(dim: int, seed: int) -> Switch:
 
 
 def build_light_decoder(suffix: nn.Network, rho: float, seed: int) -> nn.Network:
-    """Reduced-width mirror of the suffix: same input/output dims, hidden
-    widths scaled to ceil(rho * width)."""
+    """Shallow stand-in for the suffix: the same input and output dims with
+    one hidden layer of ceil(rho * widest suffix hidden width), using the
+    suffix's first and last activations. A one-layer suffix gives one layer
+    [in, out].
+
+    Under the per-row kernel a pass costs about one BLAS call per row and
+    layer, whatever its width, so depth, not width, sets the light route's
+    time."""
     if not suffix.layers:
-        raise ConfigError("light decoder: suffix has no layers to mirror")
+        raise ConfigError("light decoder: suffix has no layers to imitate")
     if not 0.0 < rho < 1.0:
         raise ConfigError(f"light decoder: rho must be in (0, 1), got {rho}")
-    hidden = [layer.out_dim for layer in suffix.layers[:-1]]
-    dims = [suffix.input_dim] + [math.ceil(rho * w) for w in hidden] + [suffix.output_dim]
-    activations = [layer.activation for layer in suffix.layers]
-    return nn.init_network(dims, activations, seed)
+    last = suffix.layers[-1]
+    if len(suffix.layers) == 1:
+        return nn.init_network([suffix.input_dim, suffix.output_dim], [last.activation], seed)
+    hidden = math.ceil(rho * max(layer.out_dim for layer in suffix.layers[:-1]))
+    return nn.init_network([suffix.input_dim, hidden, suffix.output_dim],
+                           [suffix.layers[0].activation, last.activation], seed)
 
 
 def pass_gap_array(d_out: np.ndarray, full_out: np.ndarray) -> np.ndarray:
@@ -229,13 +237,18 @@ def mixed_forward(
     Computes the hard-masked activation once, asks the switch for a predicted
     distance per sample, and runs the lightweight decoder on the rows strictly
     below tau and the full suffix on the rest, on plain arrays. Ties go full,
-    the safe direction.
+    the safe direction. A batch whose rows all route one way runs that decoder
+    on the whole latent with no gather or scatter; row invariance makes its
+    bits those of the general path.
     """
     h = infer_latent(prefix, mask, x.data)
-    preds = switch.infer(h)
-    light = preds < tau
-    out = np.empty((h.shape[0], suffix.output_dim))
+    light = switch.infer(h) < tau
+    n, n_light = h.shape[0], int(np.count_nonzero(light))
+    if n_light == n:
+        return Tensor(lwd.infer(h)), [LIGHT_ROUTE] * n
+    if n_light == 0:
+        return Tensor(suffix.infer(h)), [FULL_ROUTE] * n
+    out = np.empty((n, suffix.output_dim))
     for net, rows in ((lwd, np.flatnonzero(light)), (suffix, np.flatnonzero(~light))):
-        if rows.size:
-            out[rows] = net.infer(h.take(rows, axis=0))
+        out[rows] = net.infer(h.take(rows, axis=0))
     return Tensor(out), [LIGHT_ROUTE if is_light else FULL_ROUTE for is_light in light.tolist()]

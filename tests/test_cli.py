@@ -159,6 +159,21 @@ def test_config_value_of_wrong_type_exits_2(workdir, capsys, section, key, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, key, value, where", [
+    ("train", "lr", 10 ** 400, "train.lr"),
+    ("data", "hard_freq_range", [0.02, 10 ** 400], "data.hard_freq_range[1]"),
+], ids=["lr", "hard_freq_range-element"])
+def test_integer_too_large_for_a_float_names_its_key(workdir, capsys, section, key, value,
+                                                     where):
+    tmp_path, config = workdir
+    doc = json.loads(config.read_text())
+    doc[section][key] = value
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", str(config)]) == 2
+    assert f"error: config {where}: integer too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_accepted_for_number_key():
     run = parse_config({"train": {"lr": 1}, "dsl": {"tau": 0}})
     assert (type(run.train_cfg.lr), run.train_cfg.lr) == (float, 1.0)
@@ -237,6 +252,34 @@ def test_seed_override_changes_run(workdir):
     base = (tmp_path / "out" / "metrics.csv").read_bytes()
     assert cli.main(["--seed", "77", "train", str(config)]) == 0
     assert (tmp_path / "out" / "metrics.csv").read_bytes() != base
+
+
+def test_trunk_does_not_depend_on_the_light_decoder(tmp_path):
+    # Reconstruction alone trains prefix, mask and suffix; the light decoder
+    # reads a detached latent and draws from its own seed stream. So two rho
+    # values, two light-decoder shapes, leave every trunk bit as it was.
+    runs = {}
+    for rho in (0.25, 0.5):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["arch"]["rho"] = rho
+        cfg["output_dir"] = str(tmp_path / f"rho{rho}")
+        path = tmp_path / f"rho{rho}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["train", str(path)]) == 0
+        out = tmp_path / f"rho{rho}"
+        params = training.load_checkpoint(out / "checkpoint_final.json").params
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        columns = dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
+        runs[rho] = params, columns
+    (params_a, columns_a), (params_b, columns_b) = runs[0.25], runs[0.5]
+    assert params_a["light.0.weights"].shape != params_b["light.0.weights"].shape
+    trunk = [n for n in params_a if n.startswith(("prefix.", "suffix.")) or n == "mask.w"]
+    assert len(trunk) == 2 * (len(TINY_CONFIG["arch"]["dims"]) - 1) + 1
+    for name in trunk:
+        assert params_a[name].tobytes() == params_b[name].tobytes(), name
+    for column in ("l_recon", "l_comp", "sparsity"):
+        assert columns_a[column] == columns_b[column], column
+    assert columns_a["l_lwd"] != columns_b["l_lwd"]
 
 
 class TestEval:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchpass import autograd as ag
@@ -289,8 +289,22 @@ class TestLightDecoder:
         light = routing.build_light_decoder(suffix, 0.25, seed=1)
         assert light.input_dim == 6
         assert light.output_dim == 4
-        assert [l.out_dim for l in light.layers] == [2, 2, 4]
-        assert [l.activation for l in light.layers] == ["tanh", "tanh", "none"]
+        assert [l.out_dim for l in light.layers] == [2, 4]
+        assert [l.activation for l in light.layers] == ["tanh", "none"]
+
+    def test_widest_hidden_layer_sets_the_width_wherever_it_sits(self):
+        suffix = nn.init_network([6, 4, 12, 8, 5], ["relu", "tanh", "tanh", "none"], seed=2)
+        light = routing.build_light_decoder(suffix, 0.5, seed=1)
+        assert light.input_dim == 6
+        assert [l.out_dim for l in light.layers] == [6, 5]
+        assert [l.activation for l in light.layers] == ["relu", "none"]
+
+    def test_one_layer_suffix_keeps_in_out(self):
+        suffix = nn.init_network([6, 4], ["tanh"], seed=2)
+        light = routing.build_light_decoder(suffix, 0.25, seed=1)
+        assert light.input_dim == 6
+        assert [l.out_dim for l in light.layers] == [4]
+        assert [l.activation for l in light.layers] == ["tanh"]
 
     def test_fewer_parameters_than_suffix(self):
         suffix = make_suffix((16, 32, 32, 16))
@@ -363,9 +377,17 @@ class TestMixedForward:
             previous = light_set
 
 
+# A routing threshold drawn as a quantile of the batch's predictions, or None
+# for the next float above the largest one, which routes the whole batch light
+# (a quantile never does: the largest prediction is not below itself).
+TAU_DRAWS = st.one_of(st.floats(0.0, 1.0), st.none())
+
+
 def check_each_row_equals_its_single_row_pass(model, pool, rows, fraction):
     x = Tensor(pool[rows])
-    tau = float(np.quantile(model.switch_predictions(x), fraction))
+    preds = model.switch_predictions(x)
+    tau = float(np.nextafter(preds.max(), np.inf) if fraction is None
+                else np.quantile(preds, fraction))
     out, decisions = model.mixed_output(x, tau)
     assert len(decisions) == len(rows)
     for i, decision in enumerate(decisions):
@@ -380,6 +402,16 @@ def check_each_row_equals_its_single_row_pass(model, pool, rows, fraction):
 DEFAULT_CFG = TrainConfig()
 
 
+def uniform_batch_examples(test):
+    """All-light (None) and all-full (fraction 0: nothing is below the
+    smallest prediction) batches of one row and of several, which take
+    mixed_forward's no-gather path."""
+    for rows in ([5], [0, 9, 9, 31]):
+        for fraction in (None, 0.0):
+            test = example(rows=rows, fraction=fraction)(test)
+    return test
+
+
 class TestMixedOutputProperties:
     MODEL = SwitchedAutoencoder([8, 6, 5, 8], ["tanh", "relu", "none"],
                                 routing.SwitchConfig(rho=0.5), seed=17)
@@ -391,12 +423,14 @@ class TestMixedOutputProperties:
     DEFAULT_POOL = np.random.default_rng(6).uniform(-1, 1, (64, DEFAULT_CFG.dims[0]))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 63), min_size=1, max_size=40), st.floats(0.0, 1.0))
+    @given(st.lists(st.integers(0, 63), min_size=1, max_size=40), TAU_DRAWS)
+    @uniform_batch_examples
     def test_each_row_equals_its_single_row_pass(self, rows, fraction):
         check_each_row_equals_its_single_row_pass(self.MODEL, self.POOL, rows, fraction)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 63), min_size=1, max_size=40), st.floats(0.0, 1.0))
+    @given(st.lists(st.integers(0, 63), min_size=1, max_size=40), TAU_DRAWS)
+    @uniform_batch_examples
     def test_each_row_equals_its_single_row_pass_at_default_dims(self, rows, fraction):
         check_each_row_equals_its_single_row_pass(self.DEFAULT_MODEL, self.DEFAULT_POOL,
                                                   rows, fraction)
