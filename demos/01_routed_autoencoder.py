@@ -30,10 +30,12 @@ model, ds = result.model, result.dataset
 print(f"reconstruction loss: {result.metrics[0]['l_recon']:.4f} (epoch 1) -> "
       f"{result.metrics[-1]['l_recon']:.4f} (epoch {cfg.epochs})")
 
-# Calibrate the routing threshold so ~60% of the calibration split goes light.
+# Calibrate the routing threshold so the default share (~60%) of the
+# calibration split goes light.
+fraction = routing.DEFAULT_TARGET_LIGHT_FRACTION
 preds = model.switch_predictions(Tensor(dat.frames_to_matrix(ds.calibrate)))
-tau = routing.calibrate_threshold(preds, 0.6)
-print(f"\ncalibrated threshold tau = {tau:.4f} (60% light on the calibration split)")
+tau = routing.calibrate_threshold(preds, fraction)
+print(f"\ncalibrated threshold tau = {tau:.4f} ({fraction:.0%} light on the calibration split)")
 
 report = ev.routing_stats(model, ds.test, tau)
 print("\nrouting on the held-out test split:")

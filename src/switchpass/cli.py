@@ -77,7 +77,9 @@ def _resolve_tau(run: RunConfig, args, model, dataset) -> float:
     if fraction is None:
         if run.tau is not None:
             return run.tau
-        fraction = run.target_light_fraction if run.target_light_fraction is not None else 0.6
+        fraction = run.target_light_fraction
+    if fraction is None:
+        fraction = routing.DEFAULT_TARGET_LIGHT_FRACTION
     preds = model.switch_predictions(Tensor(dat.frames_to_matrix(dataset.calibrate)))
     return routing.calibrate_threshold(preds, fraction)
 

@@ -1,17 +1,15 @@
 """Run configuration files: a single JSON document, schema-checked up front.
 
-Sections: arch (dims, activations, placement, rho), dsl (alpha, beta, eps,
-and either tau or target_light_fraction), data (synthetic signal parameters,
-counts, split ratios, optional wav paths), train (epochs, batch_size, lr,
-seed, checkpoint_every), and output_dir. Unknown keys anywhere are rejected;
-missing keys fall back to defaults.
+_SCHEMA names each key once, with the dataclass field it sets and its JSON
+type; a key the document leaves out keeps that field's default, and DEFAULTS
+is the document of an empty config. Unknown keys anywhere are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import data as dat
 from . import routing
@@ -24,44 +22,29 @@ from .training import DataConfig, TrainConfig
 #: changing either would re-seed that suite's corpus.
 CLI_DATA_SEED = 11
 
-
-def _defaults() -> dict:
-    train, dsl, data = TrainConfig(), routing.SwitchConfig(), DataConfig()
-    return {
-        "arch": {"dims": train.dims, "activations": train.activations,
-                 "placement": dsl.placement, "rho": dsl.rho},
-        "dsl": {"alpha": dsl.alpha, "beta": dsl.beta, "eps": dsl.eps},
-        "data": {**asdict(data.spec), "seed": CLI_DATA_SEED, "n_easy": data.n_easy,
-                 "n_hard": data.n_hard, "ratios": data.ratios, "wav_paths": data.wav_paths},
-        "train": {"epochs": train.epochs, "batch_size": train.batch_size, "lr": train.lr,
-                  "seed": train.seed, "checkpoint_every": train.checkpoint_every},
-        "output_dir": "switchpass_out",
-    }
-
-
-DEFAULTS = _defaults()
-
-# The JSON type of each key: float takes any number and reads it as a float,
-# [t] a list of t, and a bool is none of them. dsl.tau and
-# dsl.target_light_fraction have no default: they are optional and mutually exclusive.
-_KEY_TYPES = {
-    "arch": {"dims": [int], "activations": [str], "placement": int, "rho": float},
-    "dsl": {"alpha": float, "beta": float, "eps": float, "tau": float,
-            "target_light_fraction": float},
-    "data": {"frame_len": int, "easy_noise_amp": float, "hard_components": int,
-             "hard_freq_range": [float], "hard_amp_range": [float], "seed": int,
-             "n_easy": int, "n_hard": int, "ratios": [float], "wav_paths": [str]},
-    "train": {"epochs": int, "batch_size": int, "lr": float, "seed": int,
-              "checkpoint_every": int},
+# section -> key -> (object whose field of that name the key sets, JSON type).
+# The objects are TrainConfig ("train"), SwitchConfig ("dsl"), SignalSpec
+# ("spec"), DataConfig ("data") and RunConfig ("run"). A type is int, float
+# (any number, read as a float), [t] for a list of t or (t,) for a list of t
+# read as a tuple; a bool is none of them. dsl.tau and dsl.target_light_fraction
+# default to None, so DEFAULTS leaves them out: they are optional and exclusive.
+_SCHEMA = {
+    "arch": {"dims": ("train", [int]), "activations": ("train", [str]),
+             "placement": ("dsl", int), "rho": ("dsl", float)},
+    "dsl": {"alpha": ("dsl", float), "beta": ("dsl", float), "eps": ("dsl", float),
+            "tau": ("run", float), "target_light_fraction": ("run", float)},
+    "data": {"frame_len": ("spec", int), "easy_noise_amp": ("spec", float),
+             "hard_components": ("spec", int), "hard_freq_range": ("spec", (float,)),
+             "hard_amp_range": ("spec", (float,)), "seed": ("spec", int),
+             "n_easy": ("data", int), "n_hard": ("data", int),
+             "ratios": ("data", (float,)), "wav_paths": ("data", [str])},
+    "train": {"epochs": ("train", int), "batch_size": ("train", int),
+              "lr": ("train", float), "seed": ("train", int),
+              "checkpoint_every": ("train", int)},
 }
 
-
-@dataclass
-class RunConfig:
-    train_cfg: TrainConfig
-    output_dir: str
-    tau: float | None = None
-    target_light_fraction: float | None = None
+# Top-level keys that are not sections: each sets the RunConfig field of its name.
+_TOP_KEYS = ("output_dir",)
 
 
 def check_routing_inputs(tau: float | None, fraction: float | None) -> None:
@@ -73,12 +56,28 @@ def check_routing_inputs(tau: float | None, fraction: float | None) -> None:
         raise ConfigError(f"target_light_fraction must be in [0, 1], got {fraction}")
 
 
+@dataclass
+class RunConfig:
+    train_cfg: TrainConfig
+    output_dir: str = "switchpass_out"
+    tau: float | None = None
+    target_light_fraction: float | None = None
+
+    def __post_init__(self):
+        if self.tau is not None and self.target_light_fraction is not None:
+            raise ConfigError(
+                "config section dsl: tau and target_light_fraction are mutually exclusive")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"config: output_dir must be a string, got {self.output_dir!r}")
+        check_routing_inputs(self.tau, self.target_light_fraction)
+
+
 def _typed(value, kind, where: str):
-    """value if it has the JSON type `kind` (see _KEY_TYPES), else ConfigError naming where."""
-    if isinstance(kind, list):
+    """value if it has the JSON type `kind` (see _SCHEMA), else ConfigError naming where."""
+    if isinstance(kind, (list, tuple)):
         if type(value) is not list:
             raise ConfigError(f"config {where}: expected a list, got {value!r}")
-        return [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+        return type(kind)(_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value))
     if type(value) is kind or (kind is float and type(value) is int):
         if kind is not float:
             return value
@@ -89,72 +88,44 @@ def _typed(value, kind, where: str):
     raise ConfigError(f"config {where}: expected {kind.__name__}, got {value!r}")
 
 
-def _merge_section(name: str, user: dict) -> dict:
-    types = _KEY_TYPES[name]
-    unknown = set(user) - set(types)
-    if unknown:
-        raise ConfigError(f"config section {name}: unknown keys {sorted(unknown)}")
-    merged = dict(DEFAULTS[name])
-    merged.update({k: _typed(v, types[k], f"{name}.{k}") for k, v in user.items()})
-    return merged
-
-
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be an object")
-    unknown = set(doc) - set(DEFAULTS)
+    unknown = set(doc) - set(_SCHEMA) - set(_TOP_KEYS)
     if unknown:
         raise ConfigError(f"config: unknown top-level keys {sorted(unknown)}")
-    sections = {
-        name: _merge_section(name, doc.get(name, {}))
-        for name in ("arch", "dsl", "data", "train")
-    }
-    arch, dsl, datasec, train = (sections[k] for k in ("arch", "dsl", "data", "train"))
+    kwargs = {"train": {}, "dsl": {}, "spec": {"seed": CLI_DATA_SEED}, "data": {},
+              "run": {k: doc[k] for k in _TOP_KEYS if k in doc}}
+    for name, keys in _SCHEMA.items():
+        section = doc.get(name, {})
+        if type(section) is not dict:
+            raise ConfigError(f"config section {name}: expected an object")
+        unknown = set(section) - set(keys)
+        if unknown:
+            raise ConfigError(f"config section {name}: unknown keys {sorted(unknown)}")
+        for key, value in section.items():
+            obj, kind = keys[key]
+            kwargs[obj][key] = _typed(value, kind, f"{name}.{key}")
 
-    if "tau" in dsl and "target_light_fraction" in dsl:
-        raise ConfigError("config section dsl: tau and target_light_fraction are mutually exclusive")
-
-    switch_cfg = routing.SwitchConfig(
-        alpha=dsl["alpha"],
-        beta=dsl["beta"],
-        eps=dsl["eps"],
-        rho=arch["rho"],
-        placement=arch["placement"],
-    )
-    spec = dat.SignalSpec(
-        frame_len=datasec["frame_len"],
-        easy_noise_amp=datasec["easy_noise_amp"],
-        hard_components=datasec["hard_components"],
-        hard_freq_range=tuple(datasec["hard_freq_range"]),
-        hard_amp_range=tuple(datasec["hard_amp_range"]),
-        seed=datasec["seed"],
-    )
-    data_cfg = DataConfig(
-        spec=spec,
-        n_easy=datasec["n_easy"],
-        n_hard=datasec["n_hard"],
-        ratios=tuple(datasec["ratios"]),
-        wav_paths=list(datasec["wav_paths"]),
-    )
-    train_cfg = TrainConfig(
-        dims=list(arch["dims"]),
-        activations=list(arch["activations"]),
-        dsl=switch_cfg,
-        data=data_cfg,
-        epochs=train["epochs"],
-        batch_size=train["batch_size"],
-        lr=train["lr"],
-        seed=train["seed"],
-        checkpoint_every=train["checkpoint_every"],
-    )
+    dsl = routing.SwitchConfig(**kwargs["dsl"])
+    data = DataConfig(spec=dat.SignalSpec(**kwargs["spec"]), **kwargs["data"])
+    train_cfg = TrainConfig(dsl=dsl, data=data, **kwargs["train"])
     train_cfg.check_frame_len()
-    output_dir = doc.get("output_dir", DEFAULTS["output_dir"])
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"config: output_dir must be a string, got {output_dir!r}")
-    tau, tlf = dsl.get("tau"), dsl.get("target_light_fraction")
-    check_routing_inputs(tau, tlf)
-    return RunConfig(train_cfg=train_cfg, output_dir=output_dir, tau=tau,
-                     target_light_fraction=tlf)
+    return RunConfig(train_cfg, **kwargs["run"])
+
+
+def _document(run: RunConfig) -> dict:
+    """The config document that parses to `run`, keys set to None left out."""
+    cfg = run.train_cfg
+    objects = {"train": cfg, "dsl": cfg.dsl, "spec": cfg.data.spec, "data": cfg.data,
+               "run": run}
+    doc = {name: {key: getattr(objects[obj], key) for key, (obj, _) in keys.items()
+                  if getattr(objects[obj], key) is not None}
+           for name, keys in _SCHEMA.items()}
+    return {**doc, **{key: getattr(run, key) for key in _TOP_KEYS}}
+
+
+DEFAULTS = _document(parse_config({}))
 
 
 def load_run_config(path) -> RunConfig:
@@ -163,11 +134,6 @@ def load_run_config(path) -> RunConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or too many digits
         raise ConfigError(f"config {path}: invalid JSON: {exc}")
-    try:
-        return parse_config(doc)
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config {path}: {exc}")
+    return parse_config(doc)

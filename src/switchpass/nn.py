@@ -17,9 +17,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ConfigError, DimensionError
 
-LAYER_ACTIVATIONS = ("relu", "tanh", "none")
-
-
 @dataclass
 class DenseLayer:
     weights: Tensor  # in x out, C-contiguous: the dense kernel's bits depend on it
@@ -100,7 +97,7 @@ def init_network(dims, activations, seed: int) -> Network:
             f"init: need {len(dims) - 1} activations for {len(dims)} dims, got {len(activations)}"
         )
     for act in activations:
-        if act not in LAYER_ACTIVATIONS:
+        if act not in ag._ACT:
             raise ConfigError(f"init: unknown activation {act!r}")
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -24,6 +24,10 @@ from .errors import ConfigError, ContractError, DimensionError
 LIGHT = "light"
 FULL = "full"
 
+#: Light fraction a threshold is calibrated to when a run sets neither tau nor
+#: a target light fraction.
+DEFAULT_TARGET_LIGHT_FRACTION = 0.6
+
 
 @dataclass
 class SwitchConfig:

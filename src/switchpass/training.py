@@ -290,7 +290,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or too many digits
         raise FormatError(f"checkpoint {path}: invalid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"checkpoint {path}: top level must be an object")

@@ -5,7 +5,7 @@ import pytest
 
 from switchpass import cli, routing, training
 from switchpass import data as dat
-from switchpass.config import CLI_DATA_SEED, DEFAULTS, parse_config
+from switchpass.config import _SCHEMA, CLI_DATA_SEED, DEFAULTS, parse_config
 from switchpass.errors import ConfigError
 from switchpass.training import DataConfig, TrainConfig
 
@@ -172,6 +172,42 @@ def test_integer_too_large_for_a_float_names_its_key(workdir, capsys, section, k
     assert cli.main(["train", str(config)]) == 2
     assert f"error: config {where}: integer too large" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in _SCHEMA.items() for key in keys
+], ids=lambda v: v)
+def test_every_config_key_rejects_a_value_of_the_wrong_type(workdir, capsys, section, key):
+    # An object is none of the JSON types a key takes: int, number, or list.
+    tmp_path, config = workdir
+    doc = json.loads(config.read_text())
+    doc[section][key] = {}
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", str(config)]) == 2
+    assert f"error: config {section}.{key}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({"train": []}, "train"),
+    ({"arch": ""}, "arch"),
+    ({"dsl": "abc"}, "dsl"),
+    ({"data": 5}, "data"),
+    ({"train": None}, "train"),
+], ids=["train-list", "arch-string", "dsl-string", "data-int", "train-null"])
+def test_config_section_that_is_not_an_object_exits_2(tmp_path, capsys, doc, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train", str(path)]) == 2
+    assert f"error: config section {name}: expected an object" in capsys.readouterr().err
+
+
+def test_config_integer_with_too_many_digits_exits_2(tmp_path, capsys):
+    # json.load raises a plain ValueError past the integer digit limit.
+    path = tmp_path / "config.json"
+    path.write_text('{"train": {"lr": 1' + "0" * 5000 + "}}")
+    assert cli.main(["train", str(path)]) == 2
+    assert "error: config" in capsys.readouterr().err
 
 
 def test_integer_accepted_for_number_key():
@@ -381,6 +417,16 @@ class TestEval:
         tmp_path, config, ckpt = trained
         bad = tmp_path / "bad.json"
         bad.write_bytes(ckpt.read_bytes().replace(b'"epoch"', b'"\xffepoch"', 1))
+        assert cli.main(["eval", str(config), str(bad)]) == 4
+        assert "error: checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_integer_with_too_many_digits_exits_4(self, trained, capsys):
+        tmp_path, config, ckpt = trained
+        doc = json.loads(ckpt.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace(f'"epoch": {doc["epoch"]}',
+                                               '"epoch": 1' + "0" * 5000, 1))
+        assert "0" * 5000 in bad.read_text()
         assert cli.main(["eval", str(config), str(bad)]) == 4
         assert "error: checkpoint" in capsys.readouterr().err
 

@@ -15,7 +15,12 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
   zip timestamps vary);
 - `sweep-beta --betas 1e-5 1e-3 1e-1` and `ablate-placement --placements 1 2`
   on the TINY_CONFIG of tests/test_cli.py, each at `--jobs 1` and `--jobs 2`,
-  into OUT_DIR/runs/<command>-jobs<N>.
+  into OUT_DIR/runs/<command>-jobs<N>;
+- `config.parse_config` on each of those configs, as written before its
+  `output_dir` is pointed into OUT_DIR, and on `{}`: the parsed RunConfig as
+  `json.dumps(dataclasses.asdict(...), sort_keys=True)` into
+  OUT_DIR/runs/parsed/<name>.json, so the manifest pins what each config
+  parses to, not only what it trains into.
 
 Then writes OUT_DIR/sha256.txt: one leading `#` line naming the build that
 made the bits (numpy version, BLAS name and version, BLAS thread count and
@@ -35,6 +40,7 @@ are not comparable. OUT_DIR must not exist yet.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,10 +53,19 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
 from switchpass import cli, training  # noqa: E402
 from switchpass import data as dat  # noqa: E402
 from switchpass.autograd import Tensor  # noqa: E402
+from switchpass.config import parse_config  # noqa: E402
 from run import machine_facts  # noqa: E402  (perfbench/run.py)
 
 
+def _write_parsed(out_dir: str, name: str, doc: dict) -> None:
+    path = os.path.join(out_dir, "runs", "parsed", f"{name}.json")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(dataclasses.asdict(parse_config(doc)), sort_keys=True))
+
+
 def _config(out_dir: str, name: str, doc: dict) -> str:
+    _write_parsed(out_dir, name, doc)
     path = os.path.join(out_dir, "configs", f"{name}.json")
     with open(path, "w") as fh:
         json.dump({**doc, "output_dir": os.path.join(out_dir, "runs", name)}, fh)
@@ -106,6 +121,7 @@ def run_oracle(out_dir: str) -> list[str]:
     from test_cli import TINY_CONFIG
 
     os.makedirs(os.path.join(out_dir, "configs"))
+    _write_parsed(out_dir, "empty", {})
     default = _config(out_dir, "default",
                       {"train": {"epochs": 20, "checkpoint_every": 5}})
     _run(["train", default])
