@@ -205,14 +205,15 @@ def softplus_array(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), stable for large |x|: softplus's derivative."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def softplus(a: Tensor) -> Tensor:
     x = a.data
-
-    def vjp(g):
-        e = np.exp(-np.abs(x))
-        return (g * np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)),)
-
-    return _track(softplus_array(x), (a,), vjp)
+    return _track(softplus_array(x), (a,), lambda g: (g * sigmoid_array(x),))
 
 
 def dense_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str = "none") -> np.ndarray:

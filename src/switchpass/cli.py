@@ -20,7 +20,7 @@ from . import data as dat
 from . import evaluation as ev
 from . import routing, training
 from .autograd import Tensor
-from .config import RunConfig, check_routing_inputs, load_run_config
+from .config import RunConfig, load_run_config
 from .errors import ConfigError, ContractError, FormatError, TrainingError
 from .output import write_atomic
 
@@ -69,15 +69,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _resolve_tau(run: RunConfig, args, model, dataset) -> float:
-    check_routing_inputs(args.tau, args.target_light_fraction)
-    if args.tau is not None:
-        return args.tau
-    fraction = args.target_light_fraction
-    if fraction is None:
-        if run.tau is not None:
-            return run.tau
-        fraction = run.target_light_fraction
+def _resolve_tau(run: RunConfig, model, dataset) -> float:
+    if run.tau is not None:
+        return run.tau
+    fraction = run.target_light_fraction
     if fraction is None:
         fraction = routing.DEFAULT_TARGET_LIGHT_FRACTION
     preds = model.switch_predictions(Tensor(dat.frames_to_matrix(dataset.calibrate)))
@@ -86,12 +81,15 @@ def _resolve_tau(run: RunConfig, args, model, dataset) -> float:
 
 def cmd_eval(args) -> int:
     run = _load(args.config, args.seed)
+    if args.tau is not None or args.target_light_fraction is not None:
+        # A flag replaces both routing keys; RunConfig checks it before the checkpoint is read.
+        run = replace(run, tau=args.tau, target_light_fraction=args.target_light_fraction)
     out = run.output_dir
     ckpt = training.load_checkpoint(args.checkpoint)
     model = training.restore_model(run.train_cfg, ckpt)
     dataset = training.build_dataset(run.train_cfg.data)
 
-    tau = _resolve_tau(run, args, model, dataset)
+    tau = _resolve_tau(run, model, dataset)
     os.makedirs(out, exist_ok=True)
     report = ev.routing_stats(model, dataset.test, tau)
     ev.write_routing_csv(report, os.path.join(out, "routing.csv"))

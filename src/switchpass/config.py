@@ -47,29 +47,26 @@ _SCHEMA = {
 _TOP_KEYS = ("output_dir",)
 
 
-def check_routing_inputs(tau: float | None, fraction: float | None) -> None:
-    """Rejects a routing threshold that is not finite and >= 0, and a target
-    light fraction outside [0, 1]; None skips the check."""
-    if tau is not None and not (math.isfinite(tau) and tau >= 0.0):
-        raise ConfigError(f"tau must be finite and >= 0, got {tau}")
-    if fraction is not None and not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"target_light_fraction must be in [0, 1], got {fraction}")
-
-
 @dataclass
 class RunConfig:
+    """A parsed config. tau and target_light_fraction, the routing threshold's
+    inputs, come from the dsl section or eval's flags and are checked here."""
     train_cfg: TrainConfig
     output_dir: str = "switchpass_out"
     tau: float | None = None
     target_light_fraction: float | None = None
 
     def __post_init__(self):
-        if self.tau is not None and self.target_light_fraction is not None:
+        tau, fraction = self.tau, self.target_light_fraction
+        if tau is not None and fraction is not None:
             raise ConfigError(
                 "config section dsl: tau and target_light_fraction are mutually exclusive")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"config: output_dir must be a string, got {self.output_dir!r}")
-        check_routing_inputs(self.tau, self.target_light_fraction)
+        if tau is not None and not (math.isfinite(tau) and tau >= 0.0):
+            raise ConfigError(f"tau must be finite and >= 0, got {tau}")
+        if fraction is not None and not 0.0 <= fraction <= 1.0:
+            raise ConfigError(f"target_light_fraction must be in [0, 1], got {fraction}")
 
 
 def _typed(value, kind, where: str):

@@ -55,6 +55,8 @@ class SignalSpec:
             r = tuple(getattr(self, name))
             if len(r) != 2 or not np.isfinite(r).all() or r[0] > r[1]:
                 raise ConfigError(f"{name} must be two finite numbers, low <= high, got {r}")
+        if self.seed < 0:
+            raise ConfigError(f"data seed must be >= 0, got {self.seed}")
 
 
 def _frame_rng(seed: int, stream: int, index: int) -> np.random.Generator:

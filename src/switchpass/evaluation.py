@@ -12,7 +12,7 @@ import numpy as np
 
 from . import data as dat
 from . import routing, training
-from .autograd import Tensor, _mm
+from .autograd import Tensor, _mm, sigmoid_array
 from .errors import ContractError
 from .model import SwitchedAutoencoder, check_placement
 from .output import write_csv
@@ -217,11 +217,6 @@ def placement_ablation(base_cfg: TrainConfig, placements, jobs: int = 1) -> list
 # --- difficulty probe --------------------------------------------------------
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _logits(x: np.ndarray, w: np.ndarray, b) -> np.ndarray:
     return _mm(x, w[:, None])[:, 0] + b
 
@@ -236,7 +231,7 @@ def fit_probe(x: np.ndarray, y: np.ndarray, epochs: int = 300, lr: float = 0.05)
     params = [("w", w), ("b", b)]
     state = training.AdamState(params, lr=lr)
     for _ in range(epochs):
-        err = (_sigmoid(_logits(x, w.data, b.data)) - y) / n
+        err = (sigmoid_array(_logits(x, w.data, b.data)) - y) / n
         w.grad = _mm(x.T, err[:, None])[:, 0]
         b.grad = err.sum()
         training.adam_step(params, state)
@@ -244,7 +239,7 @@ def fit_probe(x: np.ndarray, y: np.ndarray, epochs: int = 300, lr: float = 0.05)
 
 
 def probe_accuracy(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((_sigmoid(_logits(x, w, b)) > 0.5).astype(np.float64) == y))
+    return float(np.mean((sigmoid_array(_logits(x, w, b)) > 0.5).astype(np.float64) == y))
 
 
 @dataclass

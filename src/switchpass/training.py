@@ -75,6 +75,10 @@ class DataConfig:
     ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
     wav_paths: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.n_easy < 0 or self.n_hard < 0:
+            raise ConfigError(f"n_easy and n_hard must be >= 0, got {self.n_easy}, {self.n_hard}")
+
 
 @dataclass
 class TrainConfig:
@@ -98,6 +102,8 @@ class TrainConfig:
                 f"required, got {self.epochs}, {self.batch_size}, {self.lr}, "
                 f"{self.checkpoint_every}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
 
     def check_frame_len(self) -> None:
         """The network reconstructs a frame, so it must read and write

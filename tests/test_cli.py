@@ -5,7 +5,8 @@ import pytest
 
 from switchpass import cli, routing, training
 from switchpass import data as dat
-from switchpass.config import _SCHEMA, CLI_DATA_SEED, DEFAULTS, parse_config
+from switchpass.autograd import Tensor
+from switchpass.config import _SCHEMA, CLI_DATA_SEED, DEFAULTS, load_run_config, parse_config
 from switchpass.errors import ConfigError
 from switchpass.training import DataConfig, TrainConfig
 
@@ -288,6 +289,25 @@ def test_seed_override_changes_run(workdir):
     base = (tmp_path / "out" / "metrics.csv").read_bytes()
     assert cli.main(["--seed", "77", "train", str(config)]) == 0
     assert (tmp_path / "out" / "metrics.csv").read_bytes() != base
+
+
+@pytest.mark.parametrize("section, key, flags", [
+    ("data", "seed", []),
+    ("train", "seed", []),
+    (None, "seed", ["--seed", "-1"]),
+    ("data", "n_easy", []),
+    ("data", "n_hard", []),
+], ids=["data.seed", "train.seed", "--seed", "n_easy", "n_hard"])
+def test_negative_seed_or_corpus_size_exits_2(workdir, capsys, section, key, flags):
+    tmp_path, config = workdir
+    if section is not None:
+        doc = json.loads(config.read_text())
+        doc[section][key] = -1
+        config.write_text(json.dumps(doc))
+    assert cli.main([*flags, "train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_trunk_does_not_depend_on_the_light_decoder(tmp_path):
@@ -578,3 +598,55 @@ def test_eval_uses_config_fraction_when_no_flags(workdir):
     assert cli.main(["eval", str(config), str(ckpt)]) == 0
     summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
     assert summary["tau"] > 0
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A TINY_CONFIG checkpoint and its switch's predictions on the calibration split."""
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["train", str(config)]) == 0
+    ckpt = tmp_path / "out" / "checkpoint_final.json"
+    run = load_run_config(config)
+    model = training.restore_model(run.train_cfg, training.load_checkpoint(ckpt))
+    calibrate = training.build_dataset(run.train_cfg.data).calibrate
+    return ckpt, model.switch_predictions(Tensor(dat.frames_to_matrix(calibrate)))
+
+
+# A flag replaces both of the config's routing keys; an invalid value exits 2
+# whether it comes from a flag or the config, even beside a valid flag.
+# want is ("tau", τ), ("fraction", f) for the calibration quantile at f, or None.
+@pytest.mark.parametrize("dsl, flags, want", [
+    ({}, [], ("fraction", 0.6)),
+    ({"tau": 0.05}, [], ("tau", 0.05)),
+    ({"target_light_fraction": 0.25}, [], ("fraction", 0.25)),
+    ({}, ["--tau", "0.07"], ("tau", 0.07)),
+    ({}, ["--target-light-fraction", "0.4"], ("fraction", 0.4)),
+    ({"tau": 0.05}, ["--target-light-fraction", "0.4"], ("fraction", 0.4)),
+    ({"target_light_fraction": 0.25}, ["--tau", "0.07"], ("tau", 0.07)),
+    ({}, ["--tau", "-1"], None),
+    ({"tau": -1}, ["--tau", "0.07"], None),
+    ({"target_light_fraction": 0.25}, ["--tau", "nan"], None),
+], ids=["default", "config-tau", "config-fraction", "flag-tau", "flag-fraction",
+        "flag-fraction-over-config-tau", "flag-tau-over-config-fraction",
+        "flag-tau-negative", "config-tau-negative-beside-flag",
+        "flag-tau-nan-over-config-fraction"])
+def test_eval_tau_precedence(tiny_model, tmp_path, capsys, dsl, flags, want):
+    ckpt, preds = tiny_model
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["dsl"].update(dsl)
+    doc["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = cli.main(["eval", str(config), str(ckpt), *flags])
+    if want is None:
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+        return
+    assert code == 0
+    kind, value = want
+    expected = value if kind == "tau" else routing.calibrate_threshold(preds, value)
+    summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
+    assert summary["tau"] == expected

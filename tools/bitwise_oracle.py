@@ -8,6 +8,10 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
   OUT_DIR/runs/default;
 - `eval --target-light-fraction 0.6` on that run's final checkpoint, into
   the same directory;
+- one more eval of that checkpoint for each other way τ can be set:
+  `--tau`, the config's `dsl.tau`, the config's `dsl.target_light_fraction`,
+  and no τ input (the default fraction), each into its own
+  OUT_DIR/runs/eval-<source>;
 - the raw inference outputs of that checkpoint on the test split at the
   eval's τ: `full_output`, `light_output`, `mixed_output` and
   `switch_predictions`, each written as its array's `.tobytes()` into
@@ -62,6 +66,17 @@ def _write_parsed(out_dir: str, name: str, doc: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(json.dumps(dataclasses.asdict(parse_config(doc)), sort_keys=True))
+
+
+DEFAULT_DOC = {"train": {"epochs": 20, "checkpoint_every": 5}}
+
+# (run name, dsl section, eval flags): the τ sources besides the default run's flag.
+TAU_EVALS = [
+    ("eval-flag-tau", {}, ["--tau", "0.78"]),
+    ("eval-config-tau", {"tau": 0.8}, []),
+    ("eval-config-fraction", {"target_light_fraction": 0.3}, []),
+    ("eval-no-tau", {}, []),
+]
 
 
 def _config(out_dir: str, name: str, doc: dict) -> str:
@@ -122,12 +137,13 @@ def run_oracle(out_dir: str) -> list[str]:
 
     os.makedirs(os.path.join(out_dir, "configs"))
     _write_parsed(out_dir, "empty", {})
-    default = _config(out_dir, "default",
-                      {"train": {"epochs": 20, "checkpoint_every": 5}})
+    default = _config(out_dir, "default", DEFAULT_DOC)
     _run(["train", default])
     final = os.path.join(out_dir, "runs", "default", "checkpoint_final.json")
     _run(["eval", default, final, "--target-light-fraction", "0.6"])
     _write_inference(default, final)
+    for name, dsl, flags in TAU_EVALS:
+        _run(["eval", _config(out_dir, name, {**DEFAULT_DOC, "dsl": dsl}), final, *flags])
     for jobs in ("1", "2"):
         config = _config(out_dir, f"sweep-beta-jobs{jobs}", TINY_CONFIG)
         _run(["--jobs", jobs, "sweep-beta", config, "--betas", "1e-5", "1e-3", "1e-1"])
