@@ -12,6 +12,7 @@ numpy/BLAS build in use.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
@@ -124,44 +125,29 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _track(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def _binary_shapes(a: Tensor, b: Tensor, kind: str) -> bool:
-    """Returns True when b broadcasts as a row vector over a's rows.
-
-    Only the bias-add pattern (n, d) op (d,) is allowed beyond identical
-    shapes; anything else is a dimension error.
-    """
+def _binary(a: Tensor, b: Tensor, kind: str, op, ga, gb) -> Tensor:
+    """op(a, b) with VJP g -> (ga(g), gb(g)), for equal shapes or the bias-add
+    pattern (n, d) op (d,), where b's gradient sums gb(g) over the rows. Any
+    other pair of shapes is a dimension error, raised before op runs."""
     if a.shape == b.shape:
-        return False
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return True
-    raise DimensionError(f"{kind}: shape mismatch {a.shape} vs {b.shape}")
+        vjp = lambda g: (ga(g), gb(g))
+    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
+        vjp = lambda g: (ga(g), gb(g).sum(axis=0))
+    else:
+        raise DimensionError(f"{kind}: shape mismatch {a.shape} vs {b.shape}")
+    return _track(op(a.data, b.data), (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    rowvec = _binary_shapes(a, b, "add")
-    if rowvec:
-        vjp = lambda g: (g, g.sum(axis=0))
-    else:
-        vjp = lambda g: (g, g)
-    return _track(a.data + b.data, (a, b), vjp)
+    return _binary(a, b, "add", np.add, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    rowvec = _binary_shapes(a, b, "sub")
-    if rowvec:
-        vjp = lambda g: (g, -g.sum(axis=0))
-    else:
-        vjp = lambda g: (g, -g)
-    return _track(a.data - b.data, (a, b), vjp)
+    return _binary(a, b, "sub", np.subtract, lambda g: g, np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    rowvec = _binary_shapes(a, b, "mul")
-    if rowvec:
-        vjp = lambda g: (g * b.data, (g * a.data).sum(axis=0))
-    else:
-        vjp = lambda g: (g * b.data, g * a.data)
-    return _track(a.data * b.data, (a, b), vjp)
+    return _binary(a, b, "mul", np.multiply, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -282,38 +268,28 @@ def detach(a: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulates d(loss)/d(leaf) into `.grad` of every tracked leaf.
 
-    The sweep walks reachable nodes once each, in reverse creation order,
-    carrying adjoints in a transient table so that repeated calls (without
+    One heap walk in decreasing node_id, each tracked node entering at its
+    first adjoint; a transient adjoint table makes repeated calls (without
     zeroing) add their contributions instead of compounding them.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-
-    reachable = []
-    seen = set()
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        reachable.append(node)
-        stack.extend(node._parents)
-
-    reachable.sort(key=lambda t: t.node_id, reverse=True)
-    adjoint = {id(loss): np.ones_like(loss.data)}
-    for node in reachable:
-        g = adjoint.pop(id(node), None)
-        if g is None or not node.requires_grad:
-            continue
+    if not loss.requires_grad:
+        return
+    adjoint = {loss.node_id: np.ones_like(loss.data)}
+    heap = [(-loss.node_id, loss)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        g = adjoint.pop(node.node_id)
         if node._vjp is None:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad:
                 continue
-            key = id(parent)
+            key = parent.node_id
             if key in adjoint:
                 adjoint[key] = adjoint[key] + pg
             else:
                 adjoint[key] = pg
+                heapq.heappush(heap, (-key, parent))

@@ -75,6 +75,12 @@ def _resolve_tau(run: RunConfig, model, dataset) -> float:
     fraction = run.target_light_fraction
     if fraction is None:
         fraction = routing.DEFAULT_TARGET_LIGHT_FRACTION
+    if not dataset.calibrate:
+        raise ConfigError(
+            f"eval: the calibration split is empty, so tau cannot be calibrated; set --tau "
+            f"or dsl.tau (train/calibrate/test sizes {dataset.split_sizes()}, "
+            f"ratios {run.train_cfg.data.ratios})"
+        )
     preds = model.switch_predictions(Tensor(dat.frames_to_matrix(dataset.calibrate)))
     return routing.calibrate_threshold(preds, fraction)
 
@@ -88,6 +94,11 @@ def cmd_eval(args) -> int:
     ckpt = training.load_checkpoint(args.checkpoint)
     model = training.restore_model(run.train_cfg, ckpt)
     dataset = training.build_dataset(run.train_cfg.data)
+    if not dataset.test:
+        raise ConfigError(
+            f"eval: the test split is empty (train/calibrate/test sizes "
+            f"{dataset.split_sizes()}, ratios {run.train_cfg.data.ratios})"
+        )
 
     tau = _resolve_tau(run, model, dataset)
     os.makedirs(out, exist_ok=True)

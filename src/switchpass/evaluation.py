@@ -124,6 +124,8 @@ def _run_each(run_one, base_cfg: TrainConfig, values, jobs: int) -> list:
     gets the same dataset, built once here, and training is deterministic,
     so the results do not depend on jobs.
     """
+    if jobs < 1:
+        raise ContractError(f"jobs must be >= 1, got {jobs}")
     dataset = training.build_dataset(base_cfg.data)
     n = len(values)
     args = ([base_cfg] * n, values, [dataset] * n)
@@ -162,24 +164,28 @@ class CalibrationPoint:
     actual: np.ndarray
 
 
+def _calibration_point(model: SwitchedAutoencoder, x: Tensor, epoch: int) -> CalibrationPoint:
+    """The switch's predictions against the measured distances on x, with
+    their MAE and Pearson r."""
+    predicted, actual = model.switch_scatter(x)
+    r, degenerate = pearson(predicted, actual)
+    return CalibrationPoint(
+        epoch=epoch,
+        mae=float(np.mean(np.abs(predicted - actual))),
+        pearson_r=r,
+        degenerate=degenerate,
+        predicted=predicted,
+        actual=actual,
+    )
+
+
 def calibration_progress(cfg: TrainConfig, checkpoints, frames) -> list[CalibrationPoint]:
     """Evaluates each checkpoint's switch on the same held-out frames."""
     if len(checkpoints) < 2:
         raise ContractError(f"calibration_progress: need >= 2 checkpoints, got {len(checkpoints)}")
-    points = []
-    for ckpt in checkpoints:
-        model = training.restore_model(cfg, ckpt)
-        predicted, actual = model.switch_scatter(Tensor(dat.frames_to_matrix(frames)))
-        r, degenerate = pearson(predicted, actual)
-        points.append(CalibrationPoint(
-            epoch=ckpt.epoch,
-            mae=float(np.mean(np.abs(predicted - actual))),
-            pearson_r=r,
-            degenerate=degenerate,
-            predicted=predicted,
-            actual=actual,
-        ))
-    return points
+    x = Tensor(dat.frames_to_matrix(frames))
+    return [_calibration_point(training.restore_model(cfg, ckpt), x, ckpt.epoch)
+            for ckpt in checkpoints]
 
 
 @dataclass
@@ -193,13 +199,13 @@ class AblationRow:
 def _ablation_row(base_cfg: TrainConfig, placement: int, dataset: dat.Dataset) -> AblationRow:
     cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, placement=placement))
     model = training.train(cfg, dataset=dataset).model
-    predicted, actual = model.switch_scatter(Tensor(dat.frames_to_matrix(dataset.calibrate)))
-    r, _ = pearson(predicted, actual)
+    point = _calibration_point(model, Tensor(dat.frames_to_matrix(dataset.calibrate)),
+                               cfg.epochs)
     total_macs = model.macs_prefix() + model.macs_suffix()
     return AblationRow(
         placement=placement,
-        pearson_r=r,
-        mae=float(np.mean(np.abs(predicted - actual))),
+        pearson_r=point.pearson_r,
+        mae=point.mae,
         prefix_mac_share=model.macs_prefix() / total_macs,
     )
 

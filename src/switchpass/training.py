@@ -213,7 +213,7 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
         sums = {k: 0.0 for k in ("l_recon", "l_switch", "l_lwd", "l_comp", "l_total")}
         for start in range(0, n, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
-            x = Tensor(np.ascontiguousarray(train_mat[rows]))
+            x = Tensor(train_mat[rows])
             for _, p in named:
                 p.zero_grad()
             loss, breakdown = total_loss(x, model)

@@ -309,6 +309,11 @@ class TestBackward:
         ag.backward(loss)
         assert np.array_equal(x.grad, 2 * once)
 
+    def test_untracked_loss_is_a_no_op(self):
+        loss = ag.reduce(Tensor([1.0, -3.0]), "sq_l2")
+        ag.backward(loss)
+        assert loss.grad is None
+
     def test_three_layer_composite_matches_finite_difference(self):
         # w1 x -> tanh -> w2 -> relu -> w3 -> squared length
         x = Tensor(RNG.uniform(-2, 2, (4, 5)))
@@ -330,6 +335,110 @@ class TestBackward:
         ag.backward(forward())
         for w in (w1, w2, w3):
             assert rel_err(w.grad, finite_diff(numpy_loss, w.data)) < 1e-5
+
+
+class ReferenceBackward:
+    """The walk that ag.backward's single heap walk replaced: a reachability
+    DFS over every node, untracked ones included, a sort into decreasing node
+    id, then the adjoint sweep. Kept as the bitwise reference."""
+
+    @staticmethod
+    def run(loss: Tensor) -> None:
+        reachable = []
+        seen = set()
+        stack = [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            reachable.append(node)
+            stack.extend(node._parents)
+
+        reachable.sort(key=lambda t: t.node_id, reverse=True)
+        adjoint = {id(loss): np.ones_like(loss.data)}
+        for node in reachable:
+            g = adjoint.pop(id(node), None)
+            if g is None or not node.requires_grad:
+                continue
+            if node._vjp is None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
+                continue
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in adjoint:
+                    adjoint[key] = adjoint[key] + pg
+                else:
+                    adjoint[key] = pg
+
+
+GRAPH_OPS = ("add", "sub", "mul", "add-row", "sub-row", "mul-row", "dense", "matmul",
+             "softplus", "scale", "reshape", "detach")
+GRAPH_STEPS = st.lists(st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 63),
+                                 st.integers(0, 63), st.sampled_from(["none", "relu", "tanh"])),
+                       max_size=8)
+
+
+def random_graph(seed: int, steps) -> tuple[list[Tensor], Tensor]:
+    """The tracked leaves and a scalar loss of a graph over (4, 3) nodes.
+
+    Each step (op, i, j, act) appends op applied to pool nodes i and j
+    (modulo the pool's size; i == j gives mul(d, d)), or to node i and one of
+    two row vectors, one tracked and one not. A fixed tail then uses the
+    last node in several ops, a detached branch, an untracked product and
+    all four reductions.
+    """
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+              for shape in ((4, 3), (4, 3), (3,), (3, 3), (3,))]
+    a, b, row, w, bias = leaves
+    frozen = Tensor(rng.uniform(-1, 1, (4, 3)))
+    rows = (row, Tensor(rng.uniform(-1, 1, 3)))
+    pool = [a, b, frozen]
+    binary = {"add": ag.add, "sub": ag.sub, "mul": ag.mul}
+    for op, i, j, act in steps:
+        x, y = pool[i % len(pool)], pool[j % len(pool)]
+        if op in binary:
+            out = binary[op](x, y)
+        elif op.endswith("-row"):
+            out = binary[op[:3]](x, rows[j % 2])
+        elif op == "dense":
+            out = ag.dense(x, w, bias, act)
+        elif op == "matmul":
+            out = ag.matmul(x, w)
+        elif op == "softplus":
+            out = ag.softplus(x)
+        elif op == "scale":
+            out = ag.scale(x, (j - 31.5) / 16)
+        elif op == "reshape":
+            out = ag.reshape(ag.reshape(x, (12,)), (4, 3))
+        else:
+            out = ag.detach(x)
+        pool.append(out)
+    d = pool[-1]
+    square = ag.add(ag.mul(d, d), ag.mul(frozen, rows[1]))
+    terms = [ag.reduce(square, "sum"), ag.reduce(d, "mean"), ag.reduce(pool[-2], "l1"),
+             ag.reduce(ag.sub(d, ag.detach(pool[len(pool) // 2])), "sq_l2")]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ag.add(loss, term)
+    return leaves, loss
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), GRAPH_STEPS)
+def test_backward_matches_reference_walk_bitwise(seed, steps):
+    results = []
+    for walk in (ag.backward, ReferenceBackward.run):
+        leaves, loss = random_graph(seed, steps)
+        grads = []
+        for _ in range(2):  # the second call accumulates without zeroing
+            walk(loss)
+            grads.append([None if t.grad is None else t.grad.tobytes() for t in leaves])
+        results.append(grads)
+    assert results[0] == results[1]
 
 
 class TestDetach:
@@ -374,6 +483,7 @@ def test_every_op_gradient_matches_finite_difference(seed):
     a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     m = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
+    r = Tensor(rng.uniform(-2, 2, 4), requires_grad=True)
     c_ab = rng.uniform(-1, 1, (3, 4))
     c_am = rng.uniform(-1, 1, (3, 2))
 
@@ -387,6 +497,12 @@ def test_every_op_gradient_matches_finite_difference(seed):
                 lambda: float(np.mean((a.data - b.data) * c_ab))),
         "mul": (lambda: functional(ag.mul(a, b), c_ab),
                 lambda: float(np.mean(a.data * b.data * c_ab))),
+        "add-row": (lambda: functional(ag.add(a, r), c_ab),
+                    lambda: float(np.mean((a.data + r.data) * c_ab))),
+        "sub-row": (lambda: functional(ag.sub(a, r), c_ab),
+                    lambda: float(np.mean((a.data - r.data) * c_ab))),
+        "mul-row": (lambda: functional(ag.mul(a, r), c_ab),
+                    lambda: float(np.mean(a.data * r.data * c_ab))),
         "matmul": (lambda: functional(ag.matmul(a, m), c_am),
                    lambda: float(np.mean(np.einsum("ik,kj->ij", a.data, m.data) * c_am))),
         "relu": (lambda: functional(ag.relu(a), c_ab),
@@ -404,10 +520,10 @@ def test_every_op_gradient_matches_finite_difference(seed):
                   lambda: float(np.sum((0.1 * a.data) ** 2))),
     }
     for name, (graph, oracle) in cases.items():
-        for t in (a, b, m):
+        for t in (a, b, m, r):
             t.zero_grad()
         ag.backward(graph())
-        for t in (a, b, m):
+        for t in (a, b, m, r):
             if t.grad is None:
                 continue
             fd = finite_diff(oracle, t.data)

@@ -533,6 +533,19 @@ class TestSweep:
         assert (tmp_path / "out" / output).read_bytes() == sequential
 
 
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep-beta", ["--betas", "0.001"]),
+        ("ablate-placement", ["--placements", "1"]),
+    ], ids=["sweep-beta", "ablate-placement"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, workdir, capsys, command, flags, jobs):
+        tmp_path, config = workdir
+        out = redirect_output(config, tmp_path)
+        assert cli.main(["--jobs", jobs, command, str(config), *flags]) == 2
+        assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAblate:
     def test_invalid_placement_names_index(self, workdir, capsys):
         tmp_path, config = workdir
@@ -650,3 +663,29 @@ def test_eval_tau_precedence(tiny_model, tmp_path, capsys, dsl, flags, want):
     expected = value if kind == "tau" else routing.calibrate_threshold(preds, value)
     summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
     assert summary["tau"] == expected
+
+
+# An empty split that eval needs is named with the split sizes and ratios,
+# before the output directory is made; a given tau needs no calibration split.
+@pytest.mark.parametrize("ratios, flags, message", [
+    ([0.8, 0.0, 0.2], [], "the calibration split is empty"),
+    ([0.8, 0.2, 0.0], ["--tau", "0.05"], "the test split is empty"),
+    ([0.8, 0.0, 0.2], ["--tau", "0.05"], None),
+], ids=["no-calibrate-split", "no-test-split", "no-calibrate-split-with-tau"])
+def test_eval_names_an_empty_split(tiny_model, tmp_path, capsys, ratios, flags, message):
+    ckpt, _ = tiny_model
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["data"]["ratios"] = ratios
+    doc["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = cli.main(["eval", str(config), str(ckpt), *flags])
+    if message is None:
+        assert code == 0
+        assert json.loads((tmp_path / "out" / "eval_summary.json").read_text())["tau"] == 0.05
+        return
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eval: {message}")
+    assert "train/calibrate/test sizes" in err and f"ratios {tuple(ratios)}" in err
+    assert not (tmp_path / "out").exists()

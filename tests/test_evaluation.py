@@ -107,6 +107,13 @@ class TestSparsitySweep:
         with pytest.raises(ContractError):
             ev.sparsity_sweep(tiny_config(epochs=1), [0.1, 0.1])
 
+    def test_jobs_below_one_rejected_before_the_dataset_is_built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "build_dataset", lambda *a: calls.append(a))
+        with pytest.raises(ContractError, match="jobs must be >= 1, got 0"):
+            ev.sparsity_sweep(tiny_config(epochs=1), [0.001], jobs=0)
+        assert calls == []
+
 
 class TestCalibrationProgress:
     def test_needs_two_checkpoints(self, tiny_run):

@@ -17,6 +17,11 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
   `switch_predictions`, each written as its array's `.tobytes()` into
   OUT_DIR/runs/default/inference/<pass>.bin (raw bytes, not `.npz`, whose
   zip timestamps vary);
+- one backward pass at that checkpoint: `training.total_loss` and
+  `autograd.backward` on the first 32 rows of the default run's train split,
+  every parameter's `.grad.tobytes()` in `named_parameters()` order written
+  into OUT_DIR/runs/default/gradients.bin, so a change to the backward walk
+  or a VJP shows at the gradient, not only through 20 epochs of Adam;
 - `sweep-beta --betas 1e-5 1e-3 1e-1` and `ablate-placement --placements 1 2`
   on the TINY_CONFIG of tests/test_cli.py, each at `--jobs 1` and `--jobs 2`,
   into OUT_DIR/runs/<command>-jobs<N>;
@@ -54,6 +59,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
                 os.path.join(ROOT, "perfbench")]
 
+from switchpass import autograd as ag  # noqa: E402
 from switchpass import cli, training  # noqa: E402
 from switchpass import data as dat  # noqa: E402
 from switchpass.autograd import Tensor  # noqa: E402
@@ -69,6 +75,7 @@ def _write_parsed(out_dir: str, name: str, doc: dict) -> None:
 
 
 DEFAULT_DOC = {"train": {"epochs": 20, "checkpoint_every": 5}}
+GRADIENT_ROWS = 32
 
 # (run name, dsl section, eval flags): the τ sources besides the default run's flag.
 TAU_EVALS = [
@@ -93,12 +100,14 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"switchpass {' '.join(argv)} exited {code}")
 
 
-def _write_inference(config: str, checkpoint: str) -> None:
-    """Hashes inference bits directly, not only through eval's MSE floats."""
+def _write_raw_bits(config: str, checkpoint: str) -> None:
+    """Hashes inference outputs and gradients directly, not only through
+    eval's MSE floats and the checkpoints Adam writes."""
     run_dir = os.path.dirname(checkpoint)
     run = cli._load(config, None)
     model = training.restore_model(run.train_cfg, training.load_checkpoint(checkpoint))
-    x = Tensor(dat.frames_to_matrix(training.build_dataset(run.train_cfg.data).test))
+    dataset = training.build_dataset(run.train_cfg.data)
+    x = Tensor(dat.frames_to_matrix(dataset.test))
     with open(os.path.join(run_dir, "eval_summary.json")) as fh:
         tau = json.load(fh)["tau"]
     outputs = {
@@ -111,6 +120,12 @@ def _write_inference(config: str, checkpoint: str) -> None:
     for name, arr in outputs.items():
         with open(os.path.join(run_dir, "inference", f"{name}.bin"), "wb") as fh:
             fh.write(arr.tobytes())
+
+    batch = Tensor(dat.frames_to_matrix(dataset.train[:GRADIENT_ROWS]))
+    ag.backward(training.total_loss(batch, model)[0])
+    with open(os.path.join(run_dir, "gradients.bin"), "wb") as fh:
+        for _, param in model.named_parameters():
+            fh.write(param.grad.tobytes())
 
 
 def params_digest(path: str) -> str:
@@ -141,7 +156,7 @@ def run_oracle(out_dir: str) -> list[str]:
     _run(["train", default])
     final = os.path.join(out_dir, "runs", "default", "checkpoint_final.json")
     _run(["eval", default, final, "--target-light-fraction", "0.6"])
-    _write_inference(default, final)
+    _write_raw_bits(default, final)
     for name, dsl, flags in TAU_EVALS:
         _run(["eval", _config(out_dir, name, {**DEFAULT_DOC, "dsl": dsl}), final, *flags])
     for jobs in ("1", "2"):
