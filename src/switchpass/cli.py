@@ -43,6 +43,10 @@ def cmd_train(args) -> int:
     run = _load(args.config, args.seed)
     out = run.output_dir
     result = training.train(run.train_cfg)
+    points = None
+    if len(result.checkpoints) >= 2 and result.dataset.calibrate:
+        points = ev.calibration_progress(run.train_cfg, result.checkpoints,
+                                         result.dataset.calibrate)
     os.makedirs(out, exist_ok=True)
 
     training.write_metrics_csv(result.metrics, os.path.join(out, "metrics.csv"))
@@ -51,10 +55,7 @@ def cmd_train(args) -> int:
         text = training.save_checkpoint(
             ckpt, os.path.join(out, f"checkpoint_epoch_{ckpt.epoch:04d}.json"))
     write_atomic(os.path.join(out, "checkpoint_final.json"), text)
-
-    if len(result.checkpoints) >= 2 and result.dataset.calibrate:
-        points = ev.calibration_progress(run.train_cfg, result.checkpoints,
-                                         result.dataset.calibrate)
+    if points is not None:
         ev.write_calibration_csv(points, os.path.join(out, "calibration.csv"),
                                  os.path.join(out, "calibration_scatter.csv"))
 
@@ -75,12 +76,6 @@ def _resolve_tau(run: RunConfig, model, dataset) -> float:
     fraction = run.target_light_fraction
     if fraction is None:
         fraction = routing.DEFAULT_TARGET_LIGHT_FRACTION
-    if not dataset.calibrate:
-        raise ConfigError(
-            f"eval: the calibration split is empty, so tau cannot be calibrated; set --tau "
-            f"or dsl.tau (train/calibrate/test sizes {dataset.split_sizes()}, "
-            f"ratios {run.train_cfg.data.ratios})"
-        )
     preds = model.switch_predictions(Tensor(dat.frames_to_matrix(dataset.calibrate)))
     return routing.calibrate_threshold(preds, fraction)
 
@@ -94,27 +89,30 @@ def cmd_eval(args) -> int:
     ckpt = training.load_checkpoint(args.checkpoint)
     model = training.restore_model(run.train_cfg, ckpt)
     dataset = training.build_dataset(run.train_cfg.data)
+    sizes = (f"train/calibrate/test sizes {dataset.split_sizes()}, "
+             f"ratios {run.train_cfg.data.ratios}")
     if not dataset.test:
+        raise ConfigError(f"eval: the test split is empty ({sizes})")
+    if not dataset.train:
         raise ConfigError(
-            f"eval: the test split is empty (train/calibrate/test sizes "
-            f"{dataset.split_sizes()}, ratios {run.train_cfg.data.ratios})"
-        )
+            f"eval: the train split is empty, so the probe cannot be fitted ({sizes})")
+    if run.tau is None and not dataset.calibrate:
+        raise ConfigError(f"eval: the calibration split is empty, so tau cannot be "
+                          f"calibrated; set --tau or dsl.tau ({sizes})")
 
     tau = _resolve_tau(run, model, dataset)
-    os.makedirs(out, exist_ok=True)
     report = ev.routing_stats(model, dataset.test, tau)
-    ev.write_routing_csv(report, os.path.join(out, "routing.csv"))
-
     parity = {"overall": ev.quality_parity(model, dataset.test, tau)}
     for tag in (dat.EASY, dat.HARD):
         frames = [f for f in dataset.test if f.difficulty == tag]
         if frames:
             parity[tag] = ev.quality_parity(model, frames, tau)
-    ev.write_parity_csv(parity, os.path.join(out, "parity.csv"))
-
     probe = ev.downstream_probe(model, dataset, tau)
-    ev.write_probe_csv(probe, os.path.join(out, "probe.csv"))
 
+    os.makedirs(out, exist_ok=True)
+    ev.write_routing_csv(report, os.path.join(out, "routing.csv"))
+    ev.write_parity_csv(parity, os.path.join(out, "parity.csv"))
+    ev.write_probe_csv(probe, os.path.join(out, "probe.csv"))
     write_atomic(os.path.join(out, "eval_summary.json"), json.dumps({
         "command": "eval",
         "checkpoint_epoch": ckpt.epoch,

@@ -27,6 +27,16 @@ _SPLIT_STREAM = 2
 #: Sample rate written into generated WAV files.
 WAV_RATE = 16000
 
+#: Largest value a config may give a size: frame_len, hard_components, n_easy,
+#: n_hard, each dims entry and the dense weight count of dims. Far past it numpy
+#: cannot allocate the arrays, or generation does not finish.
+MAX_SIZE = 2 ** 24
+
+
+def check_size(name: str, value: int) -> None:
+    if value > MAX_SIZE:
+        raise ConfigError(f"{name} must be <= MAX_SIZE ({MAX_SIZE}), got {value}")
+
 
 @dataclass
 class Frame:
@@ -51,6 +61,8 @@ class SignalSpec:
             raise ConfigError(f"easy_noise_amp must be finite and >= 0, got {self.easy_noise_amp}")
         if self.hard_components < 0:
             raise ConfigError(f"hard_components must be >= 0, got {self.hard_components}")
+        check_size("frame_len", self.frame_len)
+        check_size("hard_components", self.hard_components)
         for name in ("hard_freq_range", "hard_amp_range"):
             r = tuple(getattr(self, name))
             if len(r) != 2 or not np.isfinite(r).all() or r[0] > r[1]:

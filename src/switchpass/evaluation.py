@@ -95,19 +95,19 @@ class ParityReport:
     mse_mixed: float
 
 
+def _outputs(model: SwitchedAutoencoder, frames, tau: float):
+    """The frames' input matrix and their full, light and mixed outputs from one model.passes."""
+    x = dat.frames_to_matrix(frames)
+    pred, light, full = model.passes(x)
+    return x, {"full": full, "light": light,
+               "mixed": np.where((pred < tau)[:, None], light, full)}
+
+
 def quality_parity(model: SwitchedAutoencoder, frames, tau: float) -> ParityReport:
     """Reconstruction MSE against the input under each routing strategy."""
-    x = Tensor(dat.frames_to_matrix(frames))
-    mixed, _ = model.mixed_output(x, tau)
-
-    def mse(out: Tensor) -> float:
-        return float(np.mean((out.data - x.data) ** 2))
-
-    return ParityReport(
-        mse_full=mse(model.full_output(x)),
-        mse_light=mse(model.light_output(x)),
-        mse_mixed=mse(mixed),
-    )
+    x, outs = _outputs(model, frames, tau)
+    return ParityReport(**{f"mse_{source}": float(np.mean((out - x) ** 2))
+                           for source, out in outs.items()})
 
 
 @dataclass
@@ -164,10 +164,11 @@ class CalibrationPoint:
     actual: np.ndarray
 
 
-def _calibration_point(model: SwitchedAutoencoder, x: Tensor, epoch: int) -> CalibrationPoint:
+def _calibration_point(model: SwitchedAutoencoder, x: np.ndarray, epoch: int) -> CalibrationPoint:
     """The switch's predictions against the measured distances on x, with
     their MAE and Pearson r."""
-    predicted, actual = model.switch_scatter(x)
+    predicted, light, full = model.passes(x)
+    actual = routing.pass_gap_array(light, full)
     r, degenerate = pearson(predicted, actual)
     return CalibrationPoint(
         epoch=epoch,
@@ -183,7 +184,7 @@ def calibration_progress(cfg: TrainConfig, checkpoints, frames) -> list[Calibrat
     """Evaluates each checkpoint's switch on the same held-out frames."""
     if len(checkpoints) < 2:
         raise ContractError(f"calibration_progress: need >= 2 checkpoints, got {len(checkpoints)}")
-    x = Tensor(dat.frames_to_matrix(frames))
+    x = dat.frames_to_matrix(frames)
     return [_calibration_point(training.restore_model(cfg, ckpt), x, ckpt.epoch)
             for ckpt in checkpoints]
 
@@ -199,8 +200,7 @@ class AblationRow:
 def _ablation_row(base_cfg: TrainConfig, placement: int, dataset: dat.Dataset) -> AblationRow:
     cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, placement=placement))
     model = training.train(cfg, dataset=dataset).model
-    point = _calibration_point(model, Tensor(dat.frames_to_matrix(dataset.calibrate)),
-                               cfg.epochs)
+    point = _calibration_point(model, dat.frames_to_matrix(dataset.calibrate), cfg.epochs)
     total_macs = model.macs_prefix() + model.macs_suffix()
     return AblationRow(
         placement=placement,
@@ -268,22 +268,14 @@ def downstream_probe(model: SwitchedAutoencoder, dataset: dat.Dataset,
     the re-encoded output) and classifies easy vs hard from there. One probe
     per source, fit on the train split, scored on the test split.
     """
+    _, train = _outputs(model, dataset.train, tau)
+    _, test = _outputs(model, dataset.test, tau)
     accs = {}
-    for source in ("full", "light", "mixed"):
-        def embed(frames):
-            x = Tensor(dat.frames_to_matrix(frames))
-            if source == "full":
-                out = model.full_output(x)
-            elif source == "light":
-                out = model.light_output(x)
-            else:
-                out = model.mixed_output(x, tau)[0]
-            return model.infer_latent(out.data)
-
-        w, b = fit_probe(embed(dataset.train), _labels(dataset.train))
-        accs[source] = probe_accuracy(w, b, embed(dataset.test), _labels(dataset.test))
-    return DownstreamReport(acc_full=accs["full"], acc_light=accs["light"],
-                            acc_mixed=accs["mixed"])
+    for source in train:
+        w, b = fit_probe(model.infer_latent(train[source]), _labels(dataset.train))
+        accs[f"acc_{source}"] = probe_accuracy(w, b, model.infer_latent(test[source]),
+                                               _labels(dataset.test))
+    return DownstreamReport(**accs)
 
 
 # --- CSV writers -------------------------------------------------------------

@@ -85,12 +85,12 @@ class SwitchedAutoencoder:
     def switch_predictions(self, x: Tensor) -> np.ndarray:
         return self.switch.infer(self.infer_latent(x.data))
 
-    def switch_scatter(self, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        """Switch predictions and the measured light-vs-full distances they
-        estimate, per row of x."""
-        h = self.infer_latent(x.data)
-        gap = routing.pass_gap_array(self.light.infer(h), self.suffix.infer(h))
-        return self.switch.infer(h), gap
+    def passes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Switch predictions, light and full outputs of x from one latent. By
+        row invariance, light's rows where the prediction is below tau and full's
+        rows elsewhere are bitwise mixed_output(Tensor(x), tau)'s output."""
+        h = self.infer_latent(x)
+        return self.switch.infer(h), self.light.infer(h), self.suffix.infer(h)
 
     # Per-sample MAC cost of each strategy, by the in*out counting rule.
     def macs_prefix(self) -> int:

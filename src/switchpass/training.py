@@ -78,6 +78,8 @@ class DataConfig:
     def __post_init__(self):
         if self.n_easy < 0 or self.n_hard < 0:
             raise ConfigError(f"n_easy and n_hard must be >= 0, got {self.n_easy}, {self.n_hard}")
+        dat.check_size("n_easy", self.n_easy)
+        dat.check_size("n_hard", self.n_hard)
 
 
 @dataclass
@@ -104,6 +106,10 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"train seed must be >= 0, got {self.seed}")
+        for i, d in enumerate(self.dims):
+            dat.check_size(f"dims[{i}]", d)
+        dat.check_size("the dense weight count of dims",
+                       sum(a * b for a, b in zip(self.dims, self.dims[1:])))
 
     def check_frame_len(self) -> None:
         """The network reconstructs a frame, so it must read and write
@@ -162,10 +168,10 @@ def total_loss(x: Tensor, model: SwitchedAutoencoder):
     return l_total, breakdown
 
 
-def switch_mae(model: SwitchedAutoencoder, frames) -> float:
-    """Mean absolute error of switch predictions against measured distances."""
-    predicted, actual = model.switch_scatter(Tensor(dat.frames_to_matrix(frames)))
-    return float(np.mean(np.abs(predicted - actual)))
+def switch_mae(model: SwitchedAutoencoder, x: np.ndarray) -> float:
+    """Mean absolute error of switch predictions against measured distances on x."""
+    predicted, light, full = model.passes(x)
+    return float(np.mean(np.abs(predicted - routing.pass_gap_array(light, full))))
 
 
 @dataclass
@@ -203,6 +209,7 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
     shuffle_rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _SHUFFLE)))
 
     train_mat = dat.frames_to_matrix(dataset.train)
+    cal_mat = dat.frames_to_matrix(dataset.calibrate) if dataset.calibrate else None
     n = train_mat.shape[0]
     metrics: list[dict] = []
     checkpoints = [Checkpoint(0, model.state_arrays())]
@@ -229,7 +236,7 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
         row = {"epoch": epoch}
         row.update({k: sums[k] / n for k in sums})
         row["sparsity"] = routing.activation_sparsity(model.mask)
-        row["switch_mae"] = switch_mae(model, dataset.calibrate) if dataset.calibrate else 0.0
+        row["switch_mae"] = 0.0 if cal_mat is None else switch_mae(model, cal_mat)
         metrics.append(row)
         if epoch % cadence == 0 and epoch != cfg.epochs:
             checkpoints.append(Checkpoint(epoch, model.state_arrays()))

@@ -7,6 +7,7 @@ from switchpass import cli, routing, training
 from switchpass import data as dat
 from switchpass.autograd import Tensor
 from switchpass.config import _SCHEMA, CLI_DATA_SEED, DEFAULTS, load_run_config, parse_config
+from switchpass.data import MAX_SIZE
 from switchpass.errors import ConfigError
 from switchpass.training import DataConfig, TrainConfig
 
@@ -307,6 +308,30 @@ def test_negative_seed_or_corpus_size_exits_2(workdir, capsys, section, key, fla
     assert cli.main([*flags, "train", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+# A size past MAX_SIZE is rejected when the config is parsed, before any array
+# is allocated or frame generated. Only values above the limit are tried: one
+# at the limit would train or generate for real.
+@pytest.mark.parametrize("size", [10**30, MAX_SIZE + 1], ids=["1e30", "limit+1"])
+@pytest.mark.parametrize("section, key, value, field", [
+    ("arch", "dims", lambda n: [16, n, 12, 16], "dims[1]"),
+    ("data", "frame_len", lambda n: n, "frame_len"),
+    ("data", "hard_components", lambda n: n, "hard_components"),
+    ("data", "n_easy", lambda n: n, "n_easy"),
+    ("data", "n_hard", lambda n: n, "n_hard"),
+    # (863 + 16) * (19071 + 16) - 256 == MAX_SIZE + 1 weights, each entry in bounds.
+    ("arch", "dims", lambda n: [16, 863, 19071, 16], "the dense weight count of dims"),
+], ids=["dims", "frame_len", "hard_components", "n_easy", "n_hard", "weight-count"])
+def test_size_past_the_limit_exits_2(workdir, capsys, size, section, key, value, field):
+    tmp_path, config = workdir
+    doc = json.loads(config.read_text())
+    doc[section][key] = value(size)
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be <= MAX_SIZE ({MAX_SIZE}), got ")
     assert not (tmp_path / "out").exists()
 
 
@@ -671,7 +696,8 @@ def test_eval_tau_precedence(tiny_model, tmp_path, capsys, dsl, flags, want):
     ([0.8, 0.0, 0.2], [], "the calibration split is empty"),
     ([0.8, 0.2, 0.0], ["--tau", "0.05"], "the test split is empty"),
     ([0.8, 0.0, 0.2], ["--tau", "0.05"], None),
-], ids=["no-calibrate-split", "no-test-split", "no-calibrate-split-with-tau"])
+    ([0.0, 0.5, 0.5], ["--tau", "0.05"], "the train split is empty, so the probe cannot be fitted"),
+], ids=["no-calibrate-split", "no-test-split", "no-calibrate-split-with-tau", "no-train-split"])
 def test_eval_names_an_empty_split(tiny_model, tmp_path, capsys, ratios, flags, message):
     ckpt, _ = tiny_model
     doc = json.loads(json.dumps(TINY_CONFIG))

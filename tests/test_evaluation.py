@@ -198,6 +198,32 @@ class TestProbe:
             assert 0.0 <= acc <= 1.0
 
 
+class TestOneInferencePerFrameSet:
+    """Parity and the probe read the full, light and mixed outputs from one
+    model.passes per frame set: prefix, switch, light and suffix once per row."""
+
+    @staticmethod
+    def per_row(model):
+        return model.macs_prefix() + model.macs_switch() + model.macs_light() \
+            + model.macs_suffix()
+
+    def test_quality_parity_macs(self, tiny_run):
+        cfg, result = tiny_run
+        frames = result.dataset.test
+        with MacCounter() as counter:
+            ev.quality_parity(result.model, frames, 0.4)
+        assert counter.total == len(frames) * self.per_row(result.model)
+
+    def test_downstream_probe_macs(self, tiny_run):
+        # Plus one prefix pass per source and row to re-encode its output.
+        cfg, result = tiny_run
+        model, ds = result.model, result.dataset
+        with MacCounter() as counter:
+            ev.downstream_probe(model, ds, 0.4)
+        rows = len(ds.train) + len(ds.test)
+        assert counter.total == rows * (self.per_row(model) + 3 * model.macs_prefix())
+
+
 class TestReconstructionLoss:
     def test_matches_manual(self, tiny_run):
         cfg, result = tiny_run

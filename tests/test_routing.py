@@ -397,6 +397,9 @@ def check_each_row_equals_its_single_row_pass(model, pool, rows, fraction):
         single = model.light_output(xi) if decision.kind == routing.LIGHT \
             else model.full_output(xi)
         assert out.data[i].tobytes() == single.data[0].tobytes()
+    # Eval's parity and probe read the mixed output as this select over one inference.
+    pred, light, full = model.passes(x.data)
+    assert np.where((pred < tau)[:, None], light, full).tobytes() == out.data.tobytes()
 
 
 DEFAULT_CFG = TrainConfig()
@@ -466,7 +469,7 @@ class TestMixedOutputProperties:
             "mixed": lambda: model.mixed_output(x, tau)[0],
             "latent": lambda: model.infer_latent(x.data),
             "switch": lambda: model.switch_predictions(x),
-            "scatter": lambda: model.switch_scatter(x),
+            "passes": lambda: model.passes(x.data),
         }
         for name, run in passes.items():
             before = Tensor(0.0).node_id
@@ -489,7 +492,7 @@ class TestInferenceInput:
         "light": lambda model, x: model.light_output(x),
         "mixed": lambda model, x: model.mixed_output(x, 0.5),
         "switch": lambda model, x: model.switch_predictions(x),
-        "scatter": lambda model, x: model.switch_scatter(x),
+        "passes": lambda model, x: model.passes(x.data),
     }
 
     @pytest.mark.parametrize("shape", [(2, 63), (64,)])
