@@ -47,7 +47,10 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # One identical (1, k) x (k, n) BLAS call per row of x, so row i's bits
     # depend only on x[i] and y. They also depend on y's memory layout (a
     # transposed view and a contiguous copy differ), so every call site keeps
-    # the layout it passes. The only matrix product in the package.
+    # the layout it passes. A one-row x is `x @ y`: numpy makes that same
+    # single call without the 3-D view. The only matrix product in the package.
+    if x.shape[0] == 1:
+        return x @ y
     return np.matmul(x[:, None, :], y)[:, 0, :]
 
 
@@ -158,16 +161,12 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 # Activation formulas: kind -> (value, derivative), None for the identity.
 # The value overwrites its argument and returns it; the derivative takes the
-# activation's output. relu maps everything not above 0 (NaN included) to 0,
-# and its derivative is 0 at 0.
-def _relu_inplace(z: np.ndarray) -> np.ndarray:
-    np.copyto(z, 0.0, where=~(z > 0.0))
-    return z
-
-
+# activation's output. relu maps everything not above 0 (NaN included) to
+# +0.0, and its derivative is 0 at 0. fmax drops NaN, and the absolute value
+# turns the -0.0 that fmax keeps for a -0.0 input into +0.0.
 _ACT = {
     "none": (None, None),
-    "relu": (_relu_inplace, lambda out: out > 0.0),
+    "relu": (lambda z: np.absolute(np.fmax(z, 0.0, out=z), out=z), lambda out: out > 0.0),
     "tanh": (lambda z: np.tanh(z, out=z), lambda out: 1.0 - out * out),
 }
 

@@ -101,13 +101,7 @@ def cmd_eval(args) -> int:
                           f"calibrated; set --tau or dsl.tau ({sizes})")
 
     tau = _resolve_tau(run, model, dataset)
-    report = ev.routing_stats(model, dataset.test, tau)
-    parity = {"overall": ev.quality_parity(model, dataset.test, tau)}
-    for tag in (dat.EASY, dat.HARD):
-        frames = [f for f in dataset.test if f.difficulty == tag]
-        if frames:
-            parity[tag] = ev.quality_parity(model, frames, tau)
-    probe = ev.downstream_probe(model, dataset, tau)
+    report, parity, probe = ev.eval_reports(model, dataset, tau)
 
     os.makedirs(out, exist_ok=True)
     ev.write_routing_csv(report, os.path.join(out, "routing.csv"))

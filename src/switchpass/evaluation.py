@@ -52,14 +52,16 @@ class RoutingReport:
 def routing_stats(model: SwitchedAutoencoder, frames, tau: float) -> RoutingReport:
     if not frames:
         raise ContractError("routing_stats: empty dataset")
-    x = Tensor(dat.frames_to_matrix(frames))
-    _, decisions = model.mixed_output(x, tau)
+    _, decisions = model.mixed_output(Tensor(dat.frames_to_matrix(frames)), tau)
+    return _routing_report(model, frames, [d.kind == routing.LIGHT for d in decisions], tau)
 
+
+def _routing_report(model: SwitchedAutoencoder, frames, routes_light, tau: float) -> RoutingReport:
     counts: dict[str, dict[str, int]] = {}
-    for frame, decision in zip(frames, decisions):
+    for frame, is_light in zip(frames, routes_light):
         tag = str(frame.difficulty)
         slot = counts.setdefault(tag, {routing.LIGHT: 0, routing.FULL: 0})
-        slot[decision.kind] += 1
+        slot[routing.LIGHT if is_light else routing.FULL] += 1
 
     light_fraction = {
         tag: slot[routing.LIGHT] / (slot[routing.LIGHT] + slot[routing.FULL])
@@ -96,18 +98,26 @@ class ParityReport:
 
 
 def _outputs(model: SwitchedAutoencoder, frames, tau: float):
-    """The frames' input matrix and their full, light and mixed outputs from one model.passes."""
+    """The frames' input matrix, their full, light and mixed outputs from one
+    model.passes, and which of them route light."""
     x = dat.frames_to_matrix(frames)
     pred, light, full = model.passes(x)
+    routes_light = pred < tau
     return x, {"full": full, "light": light,
-               "mixed": np.where((pred < tau)[:, None], light, full)}
+               "mixed": np.where(routes_light[:, None], light, full)}, routes_light
+
+
+def _parity(x: np.ndarray, outs: dict, rows=slice(None)) -> ParityReport:
+    """quality_parity of the given rows of one _outputs: by row invariance,
+    bitwise quality_parity of those rows' frames alone."""
+    return ParityReport(**{f"mse_{source}": float(np.mean((out[rows] - x[rows]) ** 2))
+                           for source, out in outs.items()})
 
 
 def quality_parity(model: SwitchedAutoencoder, frames, tau: float) -> ParityReport:
     """Reconstruction MSE against the input under each routing strategy."""
-    x, outs = _outputs(model, frames, tau)
-    return ParityReport(**{f"mse_{source}": float(np.mean((out - x) ** 2))
-                           for source, out in outs.items()})
+    x, outs, _ = _outputs(model, frames, tau)
+    return _parity(x, outs)
 
 
 @dataclass
@@ -268,14 +278,36 @@ def downstream_probe(model: SwitchedAutoencoder, dataset: dat.Dataset,
     the re-encoded output) and classifies easy vs hard from there. One probe
     per source, fit on the train split, scored on the test split.
     """
-    _, train = _outputs(model, dataset.train, tau)
-    _, test = _outputs(model, dataset.test, tau)
+    return _probe(model, dataset, tau, _outputs(model, dataset.test, tau)[1])
+
+
+def _probe(model: SwitchedAutoencoder, dataset: dat.Dataset, tau: float,
+           test: dict) -> DownstreamReport:
+    """downstream_probe, given the test split's outputs from _outputs."""
+    _, train, _ = _outputs(model, dataset.train, tau)
     accs = {}
     for source in train:
         w, b = fit_probe(model.infer_latent(train[source]), _labels(dataset.train))
         accs[f"acc_{source}"] = probe_accuracy(w, b, model.infer_latent(test[source]),
                                                _labels(dataset.test))
     return DownstreamReport(**accs)
+
+
+def eval_reports(model: SwitchedAutoencoder, dataset: dat.Dataset, tau: float):
+    """routing_stats and quality_parity of the test split, quality_parity of
+    each difficulty in it, keyed "overall", "easy" and "hard", and
+    downstream_probe, bit for bit, from one model.passes over the test split.
+    The split must not be empty."""
+    frames = dataset.test
+    x, outs, routes_light = _outputs(model, frames, tau)
+    parity = {"overall": _parity(x, outs)}
+    tags = np.array([str(f.difficulty) for f in frames])
+    for tag in (dat.EASY, dat.HARD):
+        rows = np.flatnonzero(tags == tag)
+        if rows.size:
+            parity[tag] = _parity(x, outs, rows)
+    return (_routing_report(model, frames, routes_light, tau), parity,
+            _probe(model, dataset, tau, outs))
 
 
 # --- CSV writers -------------------------------------------------------------

@@ -128,6 +128,14 @@ class TestActivations:
         ag.backward(ag.reduce(ag.relu(x), "sum"))
         assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("value", [np.nan, -np.nan, -0.0])
+    def test_relu_maps_nan_and_negative_zero_to_positive_zero(self, value):
+        # Lengths 1 to 17 put the value in numpy's vector loop and in its
+        # scalar tail, which treat a -0.0 input differently.
+        for n in range(1, 18):
+            out = ag.relu(Tensor(np.full(n, value))).data
+            assert out.tobytes() == np.zeros(n).tobytes()
+
     def test_tanh_at_zero(self):
         assert ag.tanh(Tensor([0.0])).data[0] == 0.0
 
@@ -253,6 +261,21 @@ class TestRowInvariance:
         out, gx = value_and_input_grad([i], misaligned_row(x[i]))
         assert out[0].tobytes() == full_out[i].tobytes()
         assert gx[0].tobytes() == full_gx[i].tobytes()
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (7, 1), (64, 1), (64, 32), (12, 64), (199, 97)])
+@pytest.mark.parametrize("right", ["contiguous", "transposed-view"])
+@pytest.mark.parametrize("left", ["row", "misaligned-row", "column-view"])
+def test_one_row_product_equals_row_0_of_a_two_row_product(k, n, right, left):
+    # A one-row _mm is `x @ y`, a two-row one the per-row product; n = 1
+    # takes numpy's dot path. A column view is the left operand of the
+    # weight gradient of a one-input layer.
+    rng = np.random.default_rng(1000 * k + n)
+    x = rng.uniform(-2, 2, (2, k))
+    y = rng.uniform(-2, 2, (k, n)) if right == "contiguous" else rng.uniform(-2, 2, (n, k)).T
+    row = {"row": x[:1].copy(), "misaligned-row": misaligned_row(x[0]),
+           "column-view": np.ascontiguousarray(x[:1].T).T}[left]
+    assert ag._mm(row, y).tobytes() == ag._mm(x, y)[0].tobytes()
 
 
 class TestReduce:

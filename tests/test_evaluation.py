@@ -223,6 +223,23 @@ class TestOneInferencePerFrameSet:
         rows = len(ds.train) + len(ds.test)
         assert counter.total == rows * (self.per_row(model) + 3 * model.macs_prefix())
 
+    def test_eval_reports_cost_the_probe_alone(self, tiny_run):
+        # Routing and the three parity scopes read the probe's test-split pass.
+        cfg, result = tiny_run
+        model, ds, tau = result.model, result.dataset, 0.4
+        with MacCounter() as counter:
+            report, parity, probe = ev.eval_reports(model, ds, tau)
+        rows = len(ds.train) + len(ds.test)
+        assert counter.total == rows * (self.per_row(model) + 3 * model.macs_prefix())
+        assert report == ev.routing_stats(model, ds.test, tau)
+        assert probe == ev.downstream_probe(model, ds, tau)
+        scopes = {"overall": ds.test}
+        for tag in (dat.EASY, dat.HARD):
+            scopes[tag] = [f for f in ds.test if f.difficulty == tag]
+        assert all(scopes.values())
+        assert parity == {scope: ev.quality_parity(model, frames, tau)
+                          for scope, frames in scopes.items()}
+
 
 class TestReconstructionLoss:
     def test_matches_manual(self, tiny_run):

@@ -377,6 +377,70 @@ class TestMixedForward:
             previous = light_set
 
 
+def identity_switch() -> routing.Switch:
+    """A switch whose net passes its one input through: z is the input."""
+    net = nn.init_network([1, 1], ["none"], seed=0)
+    net.layers[0].weights.data = np.ones((1, 1))
+    return routing.Switch(net)
+
+
+def ulps_around(center: float, n: int = 64) -> list[float]:
+    """center and the n doubles on each side of it."""
+    points = [center]
+    for direction in (-np.inf, np.inf):
+        z = center
+        for _ in range(n):
+            z = float(np.nextafter(z, direction))
+            points.append(z)
+    return points
+
+
+class TestZBandRouting:
+    """Switch.light_mask decides most rows on the switch's pre-softplus output
+    z; it must equal the softplus test, `softplus_array(z) < tau`, bit for bit."""
+
+    TAUS = [0.0, 5e-324, 2.0 ** -1022, 1e-300, 1e-3, float(np.log(2.0)),
+            routing.calibrate_threshold(
+                ag.softplus_array(np.random.default_rng(3).normal(-1.0, 2.0, 500)), 0.6),
+            50.0, 800.0]
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_decision_equals_the_softplus_test(self, tau):
+        rng = np.random.default_rng(4)
+        centers = [*routing._z_band(tau), tau + np.log(-np.expm1(-tau)) if tau > 0 else -np.inf]
+        z = np.array([p for c in centers if np.isfinite(c) for p in ulps_around(c)]
+                     + list(rng.normal(0.0, 5.0, 1000)) + list(rng.uniform(-900, 900, 1000))
+                     + [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -745.2, -708.4])
+        switch = identity_switch()
+        assert np.array_equal(switch.net.infer(z[:, None])[:, 0], z, equal_nan=True)
+        expected = ag.softplus_array(z) < tau
+        assert np.array_equal(switch.light_mask(z[:, None], tau), expected)
+        for i in range(0, z.size, 97):
+            assert switch.light_mask(z[i:i + 1, None], tau)[0] == expected[i]
+
+    def test_softplus_runs_only_inside_the_band_and_for_nan(self, monkeypatch):
+        rows = []
+        softplus = ag.softplus_array
+
+        def counting_softplus(z):
+            rows.append(z.size)
+            return softplus(z)
+
+        monkeypatch.setattr(ag, "softplus_array", counting_softplus)
+        switch, tau = identity_switch(), 0.5
+        lo, hi = routing._z_band(tau)
+        z = np.array([lo - 1.0, hi + 1.0, lo, hi, (lo + hi) / 2, np.nan, -np.inf, np.inf])
+        assert switch.light_mask(z[:2, None], tau).tolist() == [True, False]
+        assert rows == []
+        assert switch.light_mask(z[:, None], tau).tolist() == [True, False] + list(
+            softplus(z[2:5]) < tau) + [False, True, False]
+        assert rows == [4]
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, 1e-310, np.inf, np.nan])
+    def test_tau_without_a_safe_band_sends_every_row_to_the_softplus_test(self, tau):
+        assert routing._z_band(tau) == (-np.inf, np.inf)
+
+
 # A routing threshold drawn as a quantile of the batch's predictions, or None
 # for the next float above the largest one, which routes the whole batch light
 # (a quantile never does: the largest prediction is not below itself).

@@ -17,6 +17,13 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
   `switch_predictions`, each written as its array's `.tobytes()` into
   OUT_DIR/runs/default/inference/<pass>.bin (raw bytes, not `.npz`, whose
   zip timestamps vary);
+- the same passes at batch 1, one request per row for 64 test rows spread
+  evenly over the split (the split lists easy rows before hard ones, so
+  its first 64 would all route light): `full_output`, `light_output` and
+  `mixed_output` rows concatenated into inference/<pass>_b1.bin, and the
+  mixed decisions (1 light, 0 full, one byte per row) into
+  inference/decisions_b1.bin, so the one-row kernel and the switch's
+  routing of single rows are pinned too;
 - one backward pass at that checkpoint: `training.total_loss` and
   `autograd.backward` on the first 32 rows of the default run's train split,
   every parameter's `.grad.tobytes()` in `named_parameters()` order written
@@ -55,12 +62,14 @@ import json
 import os
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
                 os.path.join(ROOT, "perfbench")]
 
 from switchpass import autograd as ag  # noqa: E402
-from switchpass import cli, training  # noqa: E402
+from switchpass import cli, routing, training  # noqa: E402
 from switchpass import data as dat  # noqa: E402
 from switchpass.autograd import Tensor  # noqa: E402
 from switchpass.config import parse_config  # noqa: E402
@@ -76,6 +85,7 @@ def _write_parsed(out_dir: str, name: str, doc: dict) -> None:
 
 DEFAULT_DOC = {"train": {"epochs": 20, "checkpoint_every": 5}}
 GRADIENT_ROWS = 32
+BATCH1_ROWS = 64
 
 # (run name, dsl section, eval flags): the τ sources besides the default run's flag.
 TAU_EVALS = [
@@ -116,6 +126,15 @@ def _write_raw_bits(config: str, checkpoint: str) -> None:
         "mixed": model.mixed_output(x, tau)[0].data,
         "switch": model.switch_predictions(x),
     }
+    step = max(1, x.shape[0] // BATCH1_ROWS)
+    rows = [Tensor(row[None, :]) for row in x.data[::step][:BATCH1_ROWS]]
+    mixed = [model.mixed_output(row, tau) for row in rows]
+    outputs.update({
+        "full_b1": np.concatenate([model.full_output(row).data for row in rows]),
+        "light_b1": np.concatenate([model.light_output(row).data for row in rows]),
+        "mixed_b1": np.concatenate([out.data for out, _ in mixed]),
+        "decisions_b1": np.array([d.kind == routing.LIGHT for _, (d,) in mixed], dtype=np.uint8),
+    })
     os.makedirs(os.path.join(run_dir, "inference"))
     for name, arr in outputs.items():
         with open(os.path.join(run_dir, "inference", f"{name}.bin"), "wb") as fh:
