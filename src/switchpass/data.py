@@ -75,8 +75,14 @@ def _frame_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream, index))))
 
 
+def _check_count(what: str, n: int) -> None:
+    if n < 0:
+        raise ContractError(f"{what}: frame count must be >= 0, got {n}")
+
+
 def gen_easy(spec: SignalSpec, n: int) -> list[Frame]:
     """Noise frames at easy_noise_amp, 30% of them with one faint tone."""
+    _check_count("gen_easy", n)
     frames = []
     t = np.arange(spec.frame_len)
     for i in range(n):
@@ -94,6 +100,7 @@ def gen_easy(spec: SignalSpec, n: int) -> list[Frame]:
 
 def gen_hard(spec: SignalSpec, n: int) -> list[Frame]:
     """Sums of hard_components strong sinusoids plus noise, peak-normalized."""
+    _check_count("gen_hard", n)
     frames = []
     t = np.arange(spec.frame_len)
     for i in range(n):

@@ -50,10 +50,12 @@ class RoutingReport:
 
 
 def routing_stats(model: SwitchedAutoencoder, frames, tau: float) -> RoutingReport:
+    """Routing of frames at tau by the mixed pass's rule,
+    `switch_predictions < tau`; only the prefix and switch run."""
     if not frames:
         raise ContractError("routing_stats: empty dataset")
-    _, decisions = model.mixed_output(Tensor(dat.frames_to_matrix(frames)), tau)
-    return _routing_report(model, frames, [d.kind == routing.LIGHT for d in decisions], tau)
+    routes_light = model.switch_predictions(Tensor(dat.frames_to_matrix(frames))) < tau
+    return _routing_report(model, frames, routes_light, tau)
 
 
 def _routing_report(model: SwitchedAutoencoder, frames, routes_light, tau: float) -> RoutingReport:

@@ -11,7 +11,6 @@ which of the two passes runs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -92,30 +91,11 @@ def activation_sparsity(mask: LatentMask) -> float:
     return float(np.mean(np.abs(mask.w.data) < mask.eps))
 
 
-@functools.lru_cache(maxsize=64)
-def _z_band(tau: float) -> tuple[float, float]:
-    """[z_lo, z_hi] around softplus's inverse at tau: softplus_array(z) < tau
-    holds for every z below z_lo and fails for every z above z_hi.
-
-    The half-width, 2**-30 of 1 + |z|, is some 2**20 times the few ulps of
-    rounding in softplus_array and in the inverse, at every scale of tau. It
-    rests on tau being a positive normal double; for any other tau (0,
-    subnormal, negative, inf or NaN) the band is the whole line, so every
-    row takes the exact test."""
-    if not np.finfo(np.float64).tiny <= tau < math.inf:
-        return -math.inf, math.inf
-    z = tau + math.log(-math.expm1(-tau))
-    half = 2.0 ** -30 * (1.0 + abs(z))
-    return z - half, z + half
-
-
 class Switch:
     """Small regressor over the masked latent; softplus keeps output >= 0.
 
-    Routing reads z, the net's output before the softplus: softplus is
-    monotone, so a row routes light when z lies below a band around
-    softplus's inverse at tau and full when it lies above. softplus runs
-    only for rows inside the band, and NaN rows."""
+    Every route reads one rule: a row routes light when `infer` predicts a
+    distance strictly below tau. Ties and NaN route full."""
 
     def __init__(self, net: nn.Network):
         if net.output_dim != 1:
@@ -128,17 +108,6 @@ class Switch:
 
     def infer(self, h: np.ndarray) -> np.ndarray:
         return ag.softplus_array(self.net.infer(h))[:, 0]
-
-    def light_mask(self, h: np.ndarray, tau: float) -> np.ndarray:
-        """Rows of h that route light: bitwise `self.infer(h) < tau`."""
-        z = self.net.infer(h)[:, 0]
-        lo, hi = _z_band(float(tau))
-        light = z < lo
-        decided = light | (z > hi)
-        if not decided.all():
-            exact = ~decided
-            light[exact] = ag.softplus_array(z[exact]) < tau
-        return light
 
 
 def infer_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> np.ndarray:
@@ -276,15 +245,16 @@ def mixed_forward(
 ) -> tuple[Tensor, list[RouteDecision]]:
     """Routes each sample of the batch through exactly one decoder.
 
-    Computes the hard-masked activation once, asks the switch which rows have
-    a predicted distance strictly below tau (`Switch.light_mask`), and runs
-    the lightweight decoder on those rows and the full suffix on the rest, on
-    plain arrays. Ties go full, the safe direction. A batch whose rows all
-    route one way runs that decoder on the whole latent with no gather or
-    scatter; row invariance makes its bits those of the general path.
+    Computes the hard-masked activation once, routes light the rows whose
+    switch prediction is strictly below tau (`switch.infer(h) < tau`), and
+    runs the lightweight decoder on those rows and the full suffix on the
+    rest, on plain arrays. Ties and NaN go full, the safe direction. A batch
+    whose rows all route one way runs that decoder on the whole latent with
+    no gather or scatter; row invariance makes its bits those of the general
+    path.
     """
     h = infer_latent(prefix, mask, x.data)
-    light = switch.light_mask(h, tau)
+    light = switch.infer(h) < tau
     n, n_light = h.shape[0], int(np.count_nonzero(light))
     if n_light == n:
         return Tensor(lwd.infer(h)), [LIGHT_ROUTE] * n

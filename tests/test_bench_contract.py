@@ -66,3 +66,25 @@ def test_route_macs_per_row_match_the_analytic_counts():
         with ag.MacCounter() as counter:
             run()
         assert counter.total / n == expected[route], route
+
+
+def test_tracer_records_one_mixed_forward_span_and_uninstall_restores_every_name():
+    # `--trace 1` reads the batch size from mixed_forward's sixth positional
+    # argument, and untraced work must run the unwrapped code again.
+    model = SwitchedAutoencoder([8, 6, 8], ["tanh", "none"], routing.SwitchConfig(), seed=0)
+    x = Tensor(np.random.default_rng(1).uniform(-1, 1, (5, 8)))
+    tau = float(np.median(model.switch_predictions(x)))
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in spans.WRAPPED]
+    init = SwitchedAutoencoder.__dict__["__init__"]
+    tracer = spans.Tracer()
+    tracer.install(served_models=[model])
+    try:
+        model.mixed_output(x, tau)
+    finally:
+        tracer.uninstall()
+    assert tracer.names.count("routing.mixed_forward") == 1
+    span = tracer.totals()["routing.mixed_forward"]
+    assert (span["calls"], span["rows"]) == (1, 5)
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+    assert SwitchedAutoencoder.__dict__["__init__"] is init

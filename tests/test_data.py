@@ -73,6 +73,15 @@ class TestGenHard:
         assert frac_above >= 0.99
 
 
+@pytest.mark.parametrize("gen", [dat.gen_easy, dat.gen_hard], ids=["easy", "hard"])
+def test_negative_frame_count_is_rejected_with_the_count(gen):
+    # A DataConfig field assigned after construction skips its __post_init__,
+    # so generation checks the count itself rather than return no frames.
+    assert gen(spec_with(), 0) == []
+    with pytest.raises(ContractError, match=r"got -5\b"):
+        gen(spec_with(), -5)
+
+
 class TestSplit:
     def test_everything_in_train(self):
         frames = dat.gen_easy(spec_with(), 30)

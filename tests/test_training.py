@@ -11,7 +11,7 @@ from switchpass import autograd as ag
 from switchpass import data as dat
 from switchpass import routing, training
 from switchpass.autograd import Tensor
-from switchpass.errors import FormatError, TrainingError
+from switchpass.errors import ContractError, FormatError, TrainingError
 from switchpass.model import SwitchedAutoencoder
 
 
@@ -224,6 +224,15 @@ class TestTrainLoop:
         assert len(result.checkpoints) == 1
         assert result.checkpoints[0].epoch == 0
         assert result.metrics == []
+
+    @pytest.mark.parametrize("field", ["n_easy", "n_hard"])
+    def test_negative_count_assigned_after_construction_is_rejected(self, field):
+        # The assignment skips DataConfig.__post_init__; without the check in
+        # generation, training would run on the other difficulty alone.
+        cfg = tiny_config(epochs=0)
+        setattr(cfg.data, field, -5)
+        with pytest.raises(ContractError, match=r"got -5\b"):
+            training.train(cfg)
 
     def test_bitwise_deterministic(self):
         a = training.train(tiny_config())

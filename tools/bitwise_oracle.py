@@ -16,14 +16,15 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
   eval's τ: `full_output`, `light_output`, `mixed_output` and
   `switch_predictions`, each written as its array's `.tobytes()` into
   OUT_DIR/runs/default/inference/<pass>.bin (raw bytes, not `.npz`, whose
-  zip timestamps vary);
+  zip timestamps vary), and that mixed pass's decisions (1 light, 0 full,
+  one byte per row) into inference/decisions.bin;
 - the same passes at batch 1, one request per row for 64 test rows spread
   evenly over the split (the split lists easy rows before hard ones, so
   its first 64 would all route light): `full_output`, `light_output` and
   `mixed_output` rows concatenated into inference/<pass>_b1.bin, and the
-  mixed decisions (1 light, 0 full, one byte per row) into
-  inference/decisions_b1.bin, so the one-row kernel and the switch's
-  routing of single rows are pinned too;
+  mixed decisions, in the same byte form, into inference/decisions_b1.bin,
+  so the one-row kernel and the switch's routing of single rows are pinned
+  too;
 - one backward pass at that checkpoint: `training.total_loss` and
   `autograd.backward` on the first 32 rows of the default run's train split,
   every parameter's `.grad.tobytes()` in `named_parameters()` order written
@@ -110,6 +111,11 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"switchpass {' '.join(argv)} exited {code}")
 
 
+def _decision_bytes(decisions) -> np.ndarray:
+    """One byte per routing decision: 1 light, 0 full."""
+    return np.array([d.kind == routing.LIGHT for d in decisions], dtype=np.uint8)
+
+
 def _write_raw_bits(config: str, checkpoint: str) -> None:
     """Hashes inference outputs and gradients directly, not only through
     eval's MSE floats and the checkpoints Adam writes."""
@@ -120,10 +126,12 @@ def _write_raw_bits(config: str, checkpoint: str) -> None:
     x = Tensor(dat.frames_to_matrix(dataset.test))
     with open(os.path.join(run_dir, "eval_summary.json")) as fh:
         tau = json.load(fh)["tau"]
+    mixed, decisions = model.mixed_output(x, tau)
     outputs = {
         "full": model.full_output(x).data,
         "light": model.light_output(x).data,
-        "mixed": model.mixed_output(x, tau)[0].data,
+        "mixed": mixed.data,
+        "decisions": _decision_bytes(decisions),
         "switch": model.switch_predictions(x),
     }
     step = max(1, x.shape[0] // BATCH1_ROWS)
@@ -133,7 +141,7 @@ def _write_raw_bits(config: str, checkpoint: str) -> None:
         "full_b1": np.concatenate([model.full_output(row).data for row in rows]),
         "light_b1": np.concatenate([model.light_output(row).data for row in rows]),
         "mixed_b1": np.concatenate([out.data for out, _ in mixed]),
-        "decisions_b1": np.array([d.kind == routing.LIGHT for _, (d,) in mixed], dtype=np.uint8),
+        "decisions_b1": _decision_bytes([d for _, (d,) in mixed]),
     })
     os.makedirs(os.path.join(run_dir, "inference"))
     for name, arr in outputs.items():
