@@ -439,6 +439,19 @@ class TestOneRoutingRule:
                     _, (decision,) = routing.mixed_forward(*pieces, Tensor(x[i:i + 1]), tau)
                     assert (decision.kind == routing.LIGHT) == expected[i]
 
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, -0.0, np.nan, np.inf])
+    def test_tau_no_prediction_can_cross_routes_the_whole_batch_one_way(self, tau):
+        # softplus is never negative and NaN compares false, so tau <= 0 and
+        # NaN route every row full; tau = inf routes every finite prediction light.
+        x = np.array(list(np.random.default_rng(5).normal(0.0, 5.0, 50))
+                     + [0.0, -0.0, 5e-324, -745.2, 40.0])[:, None]
+        prefix, mask, switch, lwd, suffix = pieces = self.build(1.0)
+        h = routing.infer_latent(prefix, mask, x)
+        light = tau == np.inf
+        out, decisions = routing.mixed_forward(*pieces, Tensor(x), tau)
+        assert decisions == [routing.LIGHT_ROUTE if light else routing.FULL_ROUTE] * x.shape[0]
+        assert out.data.tobytes() == (lwd if light else suffix).infer(h).tobytes()
+
 
 # A routing threshold drawn as a quantile of the batch's predictions, or None
 # for the next float above the largest one, which routes the whole batch light
