@@ -259,6 +259,24 @@ def reduce(a: Tensor, kind: str) -> Tensor:
     return _track(np.asarray(out), (a,), vjp)
 
 
+def mse(a: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared difference from a plain-array target (never a gradient
+    path), as one node. Bitwise equal to reduce(mul(d, d), "mean") with
+    d = a - target: that chain's backward sums two equal contributions."""
+    if isinstance(target, Tensor):
+        raise ContractError("mse: the target must be a plain array, got a Tensor")
+    if a.shape != np.shape(target):
+        raise DimensionError(f"mse: shape mismatch {a.shape} vs {np.shape(target)}")
+    d = a.data - target
+    n = d.size
+
+    def vjp(g):
+        gd = (g / n) * d
+        return (gd + gd,)
+
+    return _track(np.asarray(_seq_sum(d * d) / n), (a,), vjp)
+
+
 def detach(a: Tensor) -> Tensor:
     """Same values, no graph linkage; backward never reaches a's ancestors."""
     return Tensor(a.data.copy())

@@ -239,16 +239,20 @@ def _logits(x: np.ndarray, w: np.ndarray, b) -> np.ndarray:
     return _mm(x, w[:, None])[:, 0] + b
 
 
-def fit_probe(x: np.ndarray, y: np.ndarray, epochs: int = 300, lr: float = 0.05):
+PROBE_EPOCHS = 300
+PROBE_LR = 0.05
+
+
+def fit_probe(x: np.ndarray, y: np.ndarray):
     """Logistic regression (one dense layer + sigmoid) trained full-batch
-    with the training loop's Adam for a fixed budget. Deterministic: zero
-    init, convex loss."""
+    with the training loop's Adam for a fixed budget of PROBE_EPOCHS steps
+    at PROBE_LR. Deterministic: zero init, convex loss."""
     n, d = x.shape
     w = Tensor(np.zeros(d))
     b = Tensor(np.zeros(()))
     params = [("w", w), ("b", b)]
-    state = training.AdamState(params, lr=lr)
-    for _ in range(epochs):
+    state = training.AdamState(params, lr=PROBE_LR)
+    for _ in range(PROBE_EPOCHS):
         err = (sigmoid_array(_logits(x, w.data, b.data)) - y) / n
         w.grad = _mm(x.T, err[:, None])[:, 0]
         b.grad = err.sum()

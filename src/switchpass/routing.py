@@ -171,34 +171,6 @@ def pass_gap(d_out: Tensor, full_out: Tensor) -> Tensor:
     return Tensor(pass_gap_array(d_out.data, full_out.data))
 
 
-def mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean of the squared elementwise difference."""
-    d = ag.sub(a, b)
-    return ag.reduce(ag.mul(d, d), "mean")
-
-
-def switch_loss(predicted: Tensor, actual: Tensor) -> Tensor:
-    """MSE between the switch's predictions and the measured distances.
-
-    `actual` is a target, never a gradient path; passing a tracked tensor is
-    a contract violation.
-    """
-    if predicted.shape != actual.shape:
-        raise DimensionError(f"switch loss: length mismatch {predicted.shape} vs {actual.shape}")
-    if actual.requires_grad:
-        raise ContractError("switch loss: actual must be detached")
-    return mse(predicted, actual)
-
-
-def lwd_loss(d_out: Tensor, target: Tensor) -> Tensor:
-    """Imitation MSE of the lightweight decoder against the detached full pass."""
-    if d_out.shape != target.shape:
-        raise DimensionError(f"lwd loss: shape mismatch {d_out.shape} vs {target.shape}")
-    if target.requires_grad:
-        raise ContractError("lwd loss: target must be detached")
-    return mse(d_out, target)
-
-
 def block_loss(l_switch: Tensor, l_lwd: Tensor, l_comp: Tensor, cfg: SwitchConfig) -> Tensor:
     """alpha * (switch + imitation) + beta * compression."""
     return ag.add(

@@ -3,8 +3,8 @@
 Gradient responsibilities are kept disjoint: reconstruction trains prefix,
 mask, and suffix; the imitation loss trains the light decoder only; the
 switch loss trains the switch only; the L1 penalty trains the mask weights
-only. The separation falls out of detach placement in total_loss, so one
-backward pass per batch covers everything.
+only. It falls out of total_loss's stop-gradients, a detached latent and
+plain-array MSE targets, so one backward pass per batch covers everything.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import binascii
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,20 +140,19 @@ def total_loss(x: Tensor, model: SwitchedAutoencoder):
 
     Reconstruction runs the full path through the train-mode mask; the light
     decoder and switch see a detached copy of the masked activation, and
-    their targets are detached, so their losses cannot pull on the trunk.
+    every MSE target is a plain array, so their losses cannot pull on the trunk.
     """
     cfg = model.cfg
     h = model.masked_latent(x, "train")
     full_out = model.suffix.forward(h)
-    l_recon = routing.mse(full_out, x)
+    l_recon = ag.mse(full_out, x.data)
 
     h_frozen = ag.detach(h)
     d_out = model.light.forward(h_frozen)
-    l_lwd = routing.lwd_loss(d_out, ag.detach(full_out))
+    l_lwd = ag.mse(d_out, full_out.data)
 
     predicted = model.switch.predict(h_frozen)
-    actual = routing.pass_gap(d_out, full_out)
-    l_switch = routing.switch_loss(predicted, actual)
+    l_switch = ag.mse(predicted, routing.pass_gap_array(d_out.data, full_out.data))
 
     l_comp = routing.compression_loss(model.mask)
     l_total = ag.add(l_recon, routing.block_loss(l_switch, l_lwd, l_comp, cfg))
@@ -193,8 +192,10 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
 
     Emits a checkpoint at epoch 0, at the configured cadence, and after the
     final epoch. Raises TrainingError naming the epoch if the loss goes
-    non-finite.
+    non-finite. Rebuilding cfg first checks fields assigned after construction.
     """
+    cfg = replace(cfg, dsl=replace(cfg.dsl),
+                  data=replace(cfg.data, spec=replace(cfg.data.spec)))
     cfg.check_frame_len()
     if dataset is None:
         dataset = build_dataset(cfg.data)

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +361,45 @@ class TestBackward:
             assert rel_err(w.grad, finite_diff(numpy_loss, w.data)) < 1e-5
 
 
+def three_node_mse(a: Tensor, target: np.ndarray) -> Tensor:
+    """A squared-error mean as the chain sub, mul, reduce."""
+    d = ag.sub(a, Tensor(target))
+    return ag.reduce(ag.mul(d, d), "mean")
+
+
+class TestMse:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["vector", "matrix", "one"]), st.integers(1, 40),
+           st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_three_node_chain(self, kind, n, d, seed):
+        shape = {"vector": (n,), "matrix": (n, d), "one": (1, 1)}[kind]
+        rng = np.random.default_rng(seed)
+        value, target = rng.uniform(-2, 2, shape), rng.uniform(-2, 2, shape)
+        results = []
+        for mse in (ag.mse, three_node_mse):
+            a = Tensor(value.copy(), requires_grad=True)
+            # The scale makes the upstream gradient differ from 1.
+            loss = ag.scale(mse(a, target), 0.7)
+            ag.backward(loss)
+            results.append((loss.data, a.grad))
+        for one, chain in zip(*results):
+            assert one.tobytes() == chain.tobytes()
+
+    def test_is_one_node_over_its_input(self):
+        a = Tensor(RNG.uniform(-1, 1, (3, 2)), requires_grad=True)
+        assert ag.mse(a, np.zeros((3, 2)))._parents == (a,)
+
+    def test_tensor_target_is_rejected(self):
+        with pytest.raises(ContractError, match="plain array"):
+            ag.mse(Tensor(np.zeros(3), requires_grad=True), Tensor(np.zeros(3)))
+
+    def test_shape_mismatch_names_both_shapes(self):
+        # (4, 3) - (3,) would broadcast; the loss must not.
+        for target in (np.zeros(3), np.zeros((3, 4))):
+            with pytest.raises(DimensionError, match=re.escape(f"(4, 3) vs {target.shape}")):
+                ag.mse(Tensor(np.zeros((4, 3))), target)
+
+
 class ReferenceBackward:
     """The walk that ag.backward's single heap walk replaced: a reachability
     DFS over every node, untracked ones included, a sort into decreasing node
@@ -410,8 +450,8 @@ def random_graph(seed: int, steps) -> tuple[list[Tensor], Tensor]:
     Each step (op, i, j, act) appends op applied to pool nodes i and j
     (modulo the pool's size; i == j gives mul(d, d)), or to node i and one of
     two row vectors, one tracked and one not. A fixed tail then uses the
-    last node in several ops, a detached branch, an untracked product and
-    all four reductions.
+    last node in several ops, a detached branch, an untracked product, all
+    four reductions and an mse against a plain array.
     """
     rng = np.random.default_rng(seed)
     leaves = [Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
@@ -443,7 +483,8 @@ def random_graph(seed: int, steps) -> tuple[list[Tensor], Tensor]:
     d = pool[-1]
     square = ag.add(ag.mul(d, d), ag.mul(frozen, rows[1]))
     terms = [ag.reduce(square, "sum"), ag.reduce(d, "mean"), ag.reduce(pool[-2], "l1"),
-             ag.reduce(ag.sub(d, ag.detach(pool[len(pool) // 2])), "sq_l2")]
+             ag.reduce(ag.sub(d, ag.detach(pool[len(pool) // 2])), "sq_l2"),
+             ag.mse(d, frozen.data)]
     loss = terms[0]
     for term in terms[1:]:
         loss = ag.add(loss, term)
@@ -541,6 +582,8 @@ def test_every_op_gradient_matches_finite_difference(seed):
         "l1": (lambda: ag.reduce(a, "l1"), lambda: float(np.sum(np.abs(a.data)))),
         "sq_l2": (lambda: ag.reduce(ag.scale(a, 0.1), "sq_l2"),
                   lambda: float(np.sum((0.1 * a.data) ** 2))),
+        "mse": (lambda: ag.scale(ag.mse(a, c_ab), 0.7),
+                lambda: 0.7 * float(np.mean((a.data - c_ab) ** 2))),
     }
     for name, (graph, oracle) in cases.items():
         for t in (a, b, m, r):

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 
@@ -11,7 +12,7 @@ from switchpass import autograd as ag
 from switchpass import data as dat
 from switchpass import routing, training
 from switchpass.autograd import Tensor
-from switchpass.errors import ContractError, FormatError, TrainingError
+from switchpass.errors import ConfigError, FormatError, TrainingError
 from switchpass.model import SwitchedAutoencoder
 
 
@@ -195,11 +196,10 @@ class TestTotalLoss:
             h_frozen = ag.detach(h)
             d_out = model.light.forward(h_frozen)
             if term == "lwd":
-                ag.backward(routing.lwd_loss(d_out, ag.detach(full_out)))
+                ag.backward(ag.mse(d_out, full_out.data))
             elif term == "switch":
                 predicted = model.switch.predict(h_frozen)
-                actual = routing.pass_gap(d_out, full_out)
-                ag.backward(routing.switch_loss(predicted, actual))
+                ag.backward(ag.mse(predicted, routing.pass_gap_array(d_out.data, full_out.data)))
             elif term == "comp":
                 ag.backward(routing.compression_loss(model.mask))
             return {
@@ -225,13 +225,27 @@ class TestTrainLoop:
         assert result.checkpoints[0].epoch == 0
         assert result.metrics == []
 
-    @pytest.mark.parametrize("field", ["n_easy", "n_hard"])
-    def test_negative_count_assigned_after_construction_is_rejected(self, field):
-        # The assignment skips DataConfig.__post_init__; without the check in
-        # generation, training would run on the other difficulty alone.
-        cfg = tiny_config(epochs=0)
-        setattr(cfg.data, field, -5)
-        with pytest.raises(ContractError, match=r"got -5\b"):
+    @pytest.mark.parametrize("case", [
+        ("lr", -1e-3, r"got 3, 16, -0\.001, 0$"),
+        ("dsl.beta", -1.0, r"got 1\.0, -1\.0$"),
+        ("epochs", -3, r"got -3, 16, "),
+        ("batch_size", 0, r"got 3, 0, "),
+        ("data.n_easy", -5, r"got -5, 60$"),
+        ("data.n_hard", -5, r"got 60, -5$"),
+        ("data.spec.seed", -1, r"got -1$"),
+    ], ids=lambda case: case[0])
+    def test_field_assigned_after_construction_is_rejected(self, monkeypatch, case):
+        # The assignment skips __post_init__; train rebuilds the config, so each
+        # value is rejected before the data is built. Unchecked, a negative lr
+        # or beta trained silently, negative epochs trained none and a zero
+        # batch size died in range().
+        path, value, match = case
+        cfg = tiny_config()
+        *owners, name = path.split(".")
+        setattr(functools.reduce(getattr, owners, cfg), name, value)
+        monkeypatch.setattr(training, "build_dataset",
+                            lambda _: pytest.fail("training ran past the config check"))
+        with pytest.raises(ConfigError, match=match):
             training.train(cfg)
 
     def test_bitwise_deterministic(self):

@@ -29,7 +29,10 @@ Runs, through `switchpass.cli.main` and the `src` tree beside this script:
   `autograd.backward` on the first 32 rows of the default run's train split,
   every parameter's `.grad.tobytes()` in `named_parameters()` order written
   into OUT_DIR/runs/default/gradients.bin, so a change to the backward walk
-  or a VJP shows at the gradient, not only through 20 epochs of Adam;
+  or a VJP shows at the gradient, not only through 20 epochs of Adam; and
+  that call's loss breakdown, `l_recon`, `l_switch`, `l_lwd`, `l_comp` and
+  `l_total` as five float64, into OUT_DIR/runs/default/losses.bin, so the
+  forward value of each loss term is pinned directly too;
 - `sweep-beta --betas 1e-5 1e-3 1e-1` and `ablate-placement --placements 1 2`
   on the TINY_CONFIG of tests/test_cli.py, each at `--jobs 1` and `--jobs 2`,
   into OUT_DIR/runs/<command>-jobs<N>;
@@ -86,6 +89,7 @@ def _write_parsed(out_dir: str, name: str, doc: dict) -> None:
 
 DEFAULT_DOC = {"train": {"epochs": 20, "checkpoint_every": 5}}
 GRADIENT_ROWS = 32
+LOSS_TERMS = ("l_recon", "l_switch", "l_lwd", "l_comp", "l_total")
 BATCH1_ROWS = 64
 
 # (run name, dsl section, eval flags): the τ sources besides the default run's flag.
@@ -117,8 +121,8 @@ def _decision_bytes(decisions) -> np.ndarray:
 
 
 def _write_raw_bits(config: str, checkpoint: str) -> None:
-    """Hashes inference outputs and gradients directly, not only through
-    eval's MSE floats and the checkpoints Adam writes."""
+    """Hashes inference outputs, gradients and loss terms directly, not only
+    through eval's MSE floats and the checkpoints Adam writes."""
     run_dir = os.path.dirname(checkpoint)
     run = cli._load(config, None)
     model = training.restore_model(run.train_cfg, training.load_checkpoint(checkpoint))
@@ -149,10 +153,13 @@ def _write_raw_bits(config: str, checkpoint: str) -> None:
             fh.write(arr.tobytes())
 
     batch = Tensor(dat.frames_to_matrix(dataset.train[:GRADIENT_ROWS]))
-    ag.backward(training.total_loss(batch, model)[0])
+    loss, breakdown = training.total_loss(batch, model)
+    ag.backward(loss)
     with open(os.path.join(run_dir, "gradients.bin"), "wb") as fh:
         for _, param in model.named_parameters():
             fh.write(param.grad.tobytes())
+    with open(os.path.join(run_dir, "losses.bin"), "wb") as fh:
+        fh.write(np.array([breakdown[k] for k in LOSS_TERMS], dtype=np.float64).tobytes())
 
 
 def params_digest(path: str) -> str:
