@@ -3,8 +3,9 @@
 Gradient responsibilities are kept disjoint: reconstruction trains prefix,
 mask, and suffix; the imitation loss trains the light decoder only; the
 switch loss trains the switch only; the L1 penalty trains the mask weights
-only. It falls out of total_loss's stop-gradients, a detached latent and
-plain-array MSE targets, so one backward pass per batch covers everything.
+only. The separation falls out of total_loss's stop-gradients (a detached
+latent and plain-array MSE targets), so one backward pass per batch covers
+everything.
 """
 
 from __future__ import annotations
