@@ -41,7 +41,7 @@ def check_size(name: str, value: int) -> None:
 @dataclass
 class Frame:
     samples: np.ndarray  # float64 in [-1, 1]
-    difficulty: str | None
+    difficulty: str
     source_id: str
 
 
@@ -141,7 +141,7 @@ def split(frames: list[Frame], ratios: tuple[float, float, float], seed: int) ->
 
     groups: dict[str, list[Frame]] = {}
     for frame in frames:
-        groups.setdefault(str(frame.difficulty), []).append(frame)
+        groups.setdefault(frame.difficulty, []).append(frame)
 
     ds = Dataset()
     for gi, name in enumerate(sorted(groups)):

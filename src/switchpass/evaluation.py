@@ -5,6 +5,7 @@ difficulty probe on the pass outputs."""
 from __future__ import annotations
 
 import multiprocessing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -14,7 +15,7 @@ from . import data as dat
 from . import routing, training
 from .autograd import Tensor, _mm, sigmoid_array
 from .errors import ContractError
-from .model import SwitchedAutoencoder, check_placement
+from .model import SwitchedAutoencoder
 from .output import write_csv
 from .training import TrainConfig
 
@@ -55,22 +56,19 @@ def routing_stats(model: SwitchedAutoencoder, frames, tau: float) -> RoutingRepo
     if not frames:
         raise ContractError("routing_stats: empty dataset")
     routes_light = model.switch_predictions(Tensor(dat.frames_to_matrix(frames))) < tau
-    return _routing_report(model, frames, routes_light, tau)
+    return _routing_report(model, _tags(frames), routes_light, tau)
 
 
-def _routing_report(model: SwitchedAutoencoder, frames, routes_light, tau: float) -> RoutingReport:
-    counts: dict[str, dict[str, int]] = {}
-    for frame, is_light in zip(frames, routes_light):
-        tag = str(frame.difficulty)
-        slot = counts.setdefault(tag, {routing.LIGHT: 0, routing.FULL: 0})
-        slot[routing.LIGHT if is_light else routing.FULL] += 1
+def _tags(frames) -> np.ndarray:
+    return np.array([f.difficulty for f in frames], dtype=str)
 
-    light_fraction = {
-        tag: slot[routing.LIGHT] / (slot[routing.LIGHT] + slot[routing.FULL])
-        for tag, slot in counts.items()
-    }
-    n = len(frames)
-    n_light = sum(slot[routing.LIGHT] for slot in counts.values())
+
+def _routing_report(model: SwitchedAutoencoder, tags, routes_light, tau: float) -> RoutingReport:
+    per_tag, light = Counter(tags.tolist()), Counter(tags[routes_light].tolist())
+    counts = {tag: {routing.LIGHT: light[tag], routing.FULL: m - light[tag]}
+              for tag, m in per_tag.items()}
+    light_fraction = {tag: light[tag] / m for tag, m in per_tag.items()}
+    n, n_light = len(tags), sum(light.values())
     base = model.macs_prefix() + model.macs_switch()
     # Integer total first so the mean matches per-sample counters exactly.
     total = n * base + n_light * model.macs_light() + (n - n_light) * model.macs_suffix()
@@ -129,19 +127,22 @@ class SparsityCurvePoint:
     l_recon: float
 
 
-def _run_each(run_one, base_cfg: TrainConfig, values, jobs: int) -> list:
-    """run_one(base_cfg, value, dataset) for each value, in order.
+def _run_each(run_one, base_cfg: TrainConfig, field: str, values: list, jobs: int) -> list:
+    """run_one(cfg, dataset) for base_cfg with its dsl field set to each value.
 
-    With jobs > 1 the runs go to up to that many worker processes. Every run
-    gets the same dataset, built once here, and training is deterministic,
-    so the results do not depend on jobs.
+    Every config is built, and so checked, before the dataset, and a repeated
+    value raises. With jobs > 1 the runs go to up to that many worker
+    processes. Every run gets the same dataset, built once here, and training
+    is deterministic, so the results do not depend on jobs.
     """
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, got {jobs}")
+    configs = [replace(base_cfg, dsl=replace(base_cfg.dsl, **{field: v})) for v in values]
+    if len(set(values)) != len(values):
+        raise ContractError(f"{field} values must be distinct, got {values}")
     dataset = training.build_dataset(base_cfg.data)
-    n = len(values)
-    args = ([base_cfg] * n, values, [dataset] * n)
-    workers = min(jobs, n)
+    args = (configs, [dataset] * len(configs))
+    workers = min(jobs, len(configs))
     if workers <= 1:
         return list(map(run_one, *args))
     ctx = multiprocessing.get_context("spawn")
@@ -149,21 +150,18 @@ def _run_each(run_one, base_cfg: TrainConfig, values, jobs: int) -> list:
         return list(pool.map(run_one, *args))
 
 
-def _sweep_point(base_cfg: TrainConfig, beta: float, dataset: dat.Dataset) -> SparsityCurvePoint:
-    cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, beta=beta))
+def _sweep_point(cfg: TrainConfig, dataset: dat.Dataset) -> SparsityCurvePoint:
     result = training.train(cfg, dataset=dataset)
     l_recon = result.metrics[-1]["l_recon"] if result.metrics else float("nan")
     sparsity = routing.activation_sparsity(result.model.mask)
-    return SparsityCurvePoint(beta=float(beta), sparsity=sparsity, l_recon=l_recon)
+    return SparsityCurvePoint(beta=cfg.dsl.beta, sparsity=sparsity, l_recon=l_recon)
 
 
 def sparsity_sweep(base_cfg: TrainConfig, betas, jobs: int = 1) -> list[SparsityCurvePoint]:
-    """One full training run per beta, identical seeds otherwise; jobs > 1
-    runs them in parallel worker processes with identical results."""
-    betas = sorted(float(b) for b in betas)
-    if len(set(betas)) != len(betas) or any(b < 0 for b in betas):
-        raise ContractError(f"sparsity_sweep: betas must be distinct and >= 0, got {betas}")
-    return _run_each(_sweep_point, base_cfg, betas, jobs)
+    """One full training run per beta, ascending, identical seeds otherwise.
+    jobs > 1 spawns worker processes (identical results), so the calling
+    script must guard its top level with `if __name__ == "__main__":`."""
+    return _run_each(_sweep_point, base_cfg, "beta", sorted(map(float, betas)), jobs)
 
 
 @dataclass
@@ -209,13 +207,12 @@ class AblationRow:
     prefix_mac_share: float
 
 
-def _ablation_row(base_cfg: TrainConfig, placement: int, dataset: dat.Dataset) -> AblationRow:
-    cfg = replace(base_cfg, dsl=replace(base_cfg.dsl, placement=placement))
+def _ablation_row(cfg: TrainConfig, dataset: dat.Dataset) -> AblationRow:
     model = training.train(cfg, dataset=dataset).model
     point = _calibration_point(model, dat.frames_to_matrix(dataset.calibrate), cfg.epochs)
     total_macs = model.macs_prefix() + model.macs_suffix()
     return AblationRow(
-        placement=placement,
+        placement=cfg.dsl.placement,
         pearson_r=point.pearson_r,
         mae=point.mae,
         prefix_mac_share=model.macs_prefix() / total_macs,
@@ -223,13 +220,10 @@ def _ablation_row(base_cfg: TrainConfig, placement: int, dataset: dat.Dataset) -
 
 
 def placement_ablation(base_cfg: TrainConfig, placements, jobs: int = 1) -> list[AblationRow]:
-    """One training run per block position, shared seed and data; jobs > 1
-    runs them in parallel worker processes with identical results. Every
-    placement is range-checked before any run starts."""
-    placements = sorted(int(i) for i in placements)
-    for i in placements:
-        check_placement(i, base_cfg.dims)
-    return _run_each(_ablation_row, base_cfg, placements, jobs)
+    """One training run per block position, ascending, shared seed and data.
+    jobs > 1 spawns worker processes (identical results), so the calling
+    script must guard its top level with `if __name__ == "__main__":`."""
+    return _run_each(_ablation_row, base_cfg, "placement", sorted(map(int, placements)), jobs)
 
 
 # --- difficulty probe --------------------------------------------------------
@@ -271,8 +265,8 @@ class DownstreamReport:
     acc_mixed: float
 
 
-def _labels(frames) -> np.ndarray:
-    return np.array([1.0 if f.difficulty == dat.HARD else 0.0 for f in frames])
+def _labels(tags: np.ndarray) -> np.ndarray:
+    return (tags == dat.HARD).astype(np.float64)
 
 
 def downstream_probe(model: SwitchedAutoencoder, dataset: dat.Dataset,
@@ -284,18 +278,19 @@ def downstream_probe(model: SwitchedAutoencoder, dataset: dat.Dataset,
     the re-encoded output) and classifies easy vs hard from there. One probe
     per source, fit on the train split, scored on the test split.
     """
-    return _probe(model, dataset, tau, _outputs(model, dataset.test, tau)[1])
+    return _probe(model, dataset, tau, _outputs(model, dataset.test, tau)[1],
+                  _tags(dataset.test))
 
 
 def _probe(model: SwitchedAutoencoder, dataset: dat.Dataset, tau: float,
-           test: dict) -> DownstreamReport:
-    """downstream_probe, given the test split's outputs from _outputs."""
+           test: dict, test_tags: np.ndarray) -> DownstreamReport:
+    """downstream_probe, given the test split's outputs from _outputs and its tags."""
     _, train, _ = _outputs(model, dataset.train, tau)
+    y_train, y_test = _labels(_tags(dataset.train)), _labels(test_tags)
     accs = {}
     for source in train:
-        w, b = fit_probe(model.infer_latent(train[source]), _labels(dataset.train))
-        accs[f"acc_{source}"] = probe_accuracy(w, b, model.infer_latent(test[source]),
-                                               _labels(dataset.test))
+        w, b = fit_probe(model.infer_latent(train[source]), y_train)
+        accs[f"acc_{source}"] = probe_accuracy(w, b, model.infer_latent(test[source]), y_test)
     return DownstreamReport(**accs)
 
 
@@ -307,13 +302,13 @@ def eval_reports(model: SwitchedAutoencoder, dataset: dat.Dataset, tau: float):
     frames = dataset.test
     x, outs, routes_light = _outputs(model, frames, tau)
     parity = {"overall": _parity(x, outs)}
-    tags = np.array([str(f.difficulty) for f in frames])
+    tags = _tags(frames)
     for tag in (dat.EASY, dat.HARD):
         rows = np.flatnonzero(tags == tag)
         if rows.size:
             parity[tag] = _parity(x, outs, rows)
-    return (_routing_report(model, frames, routes_light, tau), parity,
-            _probe(model, dataset, tau, outs))
+    return (_routing_report(model, tags, routes_light, tau), parity,
+            _probe(model, dataset, tau, outs, tags))
 
 
 # --- CSV writers -------------------------------------------------------------

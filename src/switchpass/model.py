@@ -67,6 +67,7 @@ class SwitchedAutoencoder:
         return routing.infer_latent(self.prefix, self.mask, x)
 
     def masked_latent(self, x: Tensor, mode: str) -> Tensor:
+        """The train-mode masked latent; mode, always "train", is kept for the acceptance gate."""
         if mode != "train":
             raise ContractError(f"masked_latent: unknown mode {mode!r}")
         return self.mask.apply(self.prefix.forward(x))

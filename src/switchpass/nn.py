@@ -81,6 +81,18 @@ def mac_count(net: Network) -> int:
     return sum(layer.mac_count() for layer in net.layers)
 
 
+def check_architecture(dims, activations) -> None:
+    """At least one width, all positive, and one known activation per layer."""
+    if len(dims) < 1 or any(d <= 0 for d in dims):
+        raise ConfigError(f"init: dims must be positive, got {dims}")
+    if len(activations) != len(dims) - 1:
+        raise ConfigError(f"init: need {len(dims) - 1} activations for {len(dims)} dims, "
+                          f"got {len(activations)}")
+    for act in activations:
+        if act not in ag._ACT:
+            raise ConfigError(f"init: unknown activation {act!r}")
+
+
 def init_network(dims, activations, seed: int) -> Network:
     """Builds a network with uniform-Xavier weights and zero biases.
 
@@ -90,16 +102,7 @@ def init_network(dims, activations, seed: int) -> Network:
     C-contiguous (in, out) transpose.
     """
     dims = [int(d) for d in dims]
-    if len(dims) < 1 or any(d <= 0 for d in dims):
-        raise ConfigError(f"init: dims must be positive, got {dims}")
-    if len(activations) != len(dims) - 1:
-        raise ConfigError(
-            f"init: need {len(dims) - 1} activations for {len(dims)} dims, got {len(activations)}"
-        )
-    for act in activations:
-        if act not in ag._ACT:
-            raise ConfigError(f"init: unknown activation {act!r}")
-
+    check_architecture(dims, activations)
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = []
     for fan_in, fan_out, act in zip(dims[:-1], dims[1:], activations):

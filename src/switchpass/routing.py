@@ -36,9 +36,9 @@ class SwitchConfig:
     alpha jointly weights the switch and imitation losses, beta weights the
     mask's L1 penalty, eps is the hard-zero cutoff for mask weights at
     inference, rho the width factor of the lightweight decoder, and placement
-    the layer index where the block is inserted. The routing threshold tau is
-    not part of the block: it is calibrated or chosen per run (see
-    config.RunConfig).
+    the layer index where the block is inserted, checked against the network
+    by model.check_placement. The routing threshold tau is not part of the
+    block: it is calibrated or chosen per run (see config.RunConfig).
     """
 
     alpha: float = 1.0
@@ -55,8 +55,6 @@ class SwitchConfig:
             raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
         if not 0 < self.eps < math.inf:
             raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
-        if self.placement < 0:
-            raise ConfigError(f"placement must be >= 0, got {self.placement}")
 
 
 class LatentMask:
@@ -167,7 +165,7 @@ def pass_gap_array(d_out: np.ndarray, full_out: np.ndarray) -> np.ndarray:
 
 
 def pass_gap(d_out: Tensor, full_out: Tensor) -> Tensor:
-    """pass_gap_array as an untracked Tensor: carries no gradient linkage."""
+    """pass_gap_array as an untracked Tensor, kept because the acceptance gate calls it."""
     return Tensor(pass_gap_array(d_out.data, full_out.data))
 
 

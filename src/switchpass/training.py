@@ -19,10 +19,10 @@ import numpy as np
 
 from . import autograd as ag
 from . import data as dat
-from . import routing
+from . import nn, routing
 from .autograd import Tensor
 from .errors import ConfigError, FormatError, TrainingError
-from .model import SwitchedAutoencoder, derive_seed, _SHUFFLE
+from .model import SwitchedAutoencoder, check_placement, derive_seed, _SHUFFLE
 from .output import write_atomic, write_csv
 
 CHECKPOINT_FORMAT_VERSION = 4
@@ -111,12 +111,14 @@ class TrainConfig:
             dat.check_size(f"dims[{i}]", d)
         dat.check_size("the dense weight count of dims",
                        sum(a * b for a, b in zip(self.dims, self.dims[1:])))
+        nn.check_architecture(self.dims, self.activations)
+        check_placement(self.dsl.placement, self.dims)
 
     def check_frame_len(self) -> None:
         """The network reconstructs a frame, so it must read and write
         frame_len samples. Checked where a config is parsed and where training
         starts, not at construction: callers may set `data` afterwards."""
-        ends = (self.dims[0], self.dims[-1]) if self.dims else (None, None)
+        ends = (self.dims[0], self.dims[-1])
         if not ends[0] == ends[1] == self.data.spec.frame_len:
             raise ConfigError(
                 f"dims must start and end at data.frame_len, got dims[0] {ends[0]}, "

@@ -139,6 +139,53 @@ def test_inconsistent_train_config_exits_2_without_output_dir(workdir, capsys, s
     assert not (tmp_path / "out").exists()
 
 
+def no_data(monkeypatch):
+    """Makes building the dataset fail the test: a rejection must come first."""
+    monkeypatch.setattr(training, "build_dataset",
+                        lambda *a: pytest.fail("data was built before the rejection"))
+
+
+@pytest.mark.parametrize("arch, message", [
+    ({"placement": 0}, "placement 0 is out of range [1, 2]"),
+    ({"placement": 9}, "placement 9 is out of range [1, 2]"),
+    ({"activations": ["tanh", "gelu", "none"]}, "unknown activation 'gelu'"),
+    ({"activations": ["tanh", "none"]}, "need 3 activations for 4 dims, got 2"),
+    ({"dims": [16, 0, 12, 16]}, "dims must be positive, got [16, 0, 12, 16]"),
+], ids=["placement-0", "placement-9", "unknown-activation", "activation-count", "zero-width"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_architecture_exits_2_before_any_data(workdir, capsys, monkeypatch, command, arch,
+                                                  message):
+    # eval's checkpoint does not exist, so exit 2 also shows that the config
+    # was rejected before the checkpoint was read.
+    tmp_path, config = workdir
+    doc = json.loads(config.read_text())
+    doc["arch"].update(arch)
+    config.write_text(json.dumps(doc))
+    no_data(monkeypatch)
+    argv = {"train": ["train", str(config)],
+            "eval": ["eval", str(config), str(tmp_path / "missing.json")]}[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("sweep-beta", ["--betas", "0.001", "nan"], "beta must be finite and >= 0, got 1.0, nan"),
+    ("sweep-beta", ["--betas", "0.001", "inf"], "beta must be finite and >= 0, got 1.0, inf"),
+    ("sweep-beta", ["--betas", "-1"], "beta must be finite and >= 0, got 1.0, -1.0"),
+    ("ablate-placement", ["--placements", "1", "9"], "placement 9 is out of range [1, 2]"),
+], ids=["beta-nan", "beta-inf", "beta-negative", "placement-9"])
+def test_bad_sweep_value_exits_2_before_any_data(workdir, capsys, monkeypatch, command, flags,
+                                                 message):
+    tmp_path, config = workdir
+    no_data(monkeypatch)
+    assert cli.main([command, str(config), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, value, where", [
     ("train", "epochs", 2.5, "train.epochs"),
     ("train", "batch_size", True, "train.batch_size"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,37 @@ class TestSparsitySweep:
         with pytest.raises(ContractError, match="jobs must be >= 1, got 0"):
             ev.sparsity_sweep(tiny_config(epochs=1), [0.001], jobs=0)
         assert calls == []
+
+
+class TestSweepValuesRejectedBeforeAnyData:
+    """Each run's config is built, and so checked, before the dataset exists."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "build_dataset", lambda *a: calls.append("data"))
+        monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append("train"))
+        return calls
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_beta_the_config_rejects_trains_no_run(self, calls, bad):
+        with pytest.raises(ConfigError, match=f"beta must be finite and >= 0, got 1.0, {bad}"):
+            ev.sparsity_sweep(tiny_config(epochs=1), [0.001, bad])
+        assert calls == []
+
+    @pytest.mark.parametrize("sweep, field, values", [
+        (ev.sparsity_sweep, "beta", [0.1, 0.1]),
+        (ev.placement_ablation, "placement", [1, 1]),
+    ], ids=["sparsity_sweep", "placement_ablation"])
+    def test_duplicate_values_are_named(self, calls, sweep, field, values):
+        with pytest.raises(ContractError,
+                           match=re.escape(f"{field} values must be distinct, got {values}")):
+            sweep(tiny_config(epochs=1), values)
+        assert calls == []
+
+    @pytest.mark.parametrize("sweep", [ev.sparsity_sweep, ev.placement_ablation])
+    def test_no_values_no_runs(self, sweep):
+        assert sweep(tiny_config(epochs=1), []) == []
 
 
 class TestCalibrationProgress:

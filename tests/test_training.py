@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -243,6 +244,30 @@ class TestTrainLoop:
         cfg = tiny_config()
         *owners, name = path.split(".")
         setattr(functools.reduce(getattr, owners, cfg), name, value)
+        monkeypatch.setattr(training, "build_dataset",
+                            lambda _: pytest.fail("training ran past the config check"))
+        with pytest.raises(ConfigError, match=match):
+            training.train(cfg)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("dims", [16, 0, 12, 16], r"dims must be positive, got \[16, 0, 12, 16\]"),
+        ("activations", ["tanh", "gelu", "none"], "unknown activation 'gelu'"),
+        ("activations", ["tanh", "none"], "need 3 activations for 4 dims, got 2"),
+        ("placement", 0, r"placement 0 is out of range \[1, 2\]"),
+        ("placement", 3, r"placement 3 is out of range \[1, 2\]"),
+        ("placement", -1, r"placement -1 is out of range \[1, 2\]"),
+    ], ids=["zero-width", "unknown-activation", "activation-count", "placement-0",
+            "placement-3", "placement-negative"])
+    def test_architecture_is_checked_when_the_config_is_built(self, monkeypatch, field, value,
+                                                              match):
+        # Construction, dataclasses.replace and train's rebuild of a field
+        # assigned after construction all reject it before any data exists.
+        cfg = tiny_config()
+        if field == "placement":
+            field, value = "dsl", routing.SwitchConfig(placement=value, rho=0.5)
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(cfg, **{field: value})
+        setattr(cfg, field, value)
         monkeypatch.setattr(training, "build_dataset",
                             lambda _: pytest.fail("training ran past the config check"))
         with pytest.raises(ConfigError, match=match):
