@@ -287,7 +287,9 @@ def backward(loss: Tensor) -> None:
 
     One heap walk in decreasing node_id, each tracked node entering at its
     first adjoint; a transient adjoint table makes repeated calls (without
-    zeroing) add their contributions instead of compounding them.
+    zeroing) add their contributions instead of compounding them. A leaf's
+    adjoint is added into its existing `.grad` in place (a view into
+    AdamState's flat grads in training), or copied when `.grad` is None.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -299,7 +301,10 @@ def backward(loss: Tensor) -> None:
         _, node = heapq.heappop(heap)
         g = adjoint.pop(node.node_id)
         if node._vjp is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            if node.grad is None:
+                node.grad = g.copy()
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad:

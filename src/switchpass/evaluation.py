@@ -130,16 +130,20 @@ class SparsityCurvePoint:
 def _run_each(run_one, base_cfg: TrainConfig, field: str, values: list, jobs: int) -> list:
     """run_one(cfg, dataset) for base_cfg with its dsl field set to each value.
 
-    Every config is built, and so checked, before the dataset, and a repeated
-    value raises. With jobs > 1 the runs go to up to that many worker
-    processes. Every run gets the same dataset, built once here, and training
-    is deterministic, so the results do not depend on jobs.
+    Every config is built, and so checked, before the dataset, as is the
+    frame length; a repeated value raises, and no values build no dataset.
+    With jobs > 1 the runs go to up to that many worker processes. Every run
+    gets the same dataset, built once here, and training is deterministic,
+    so the results do not depend on jobs.
     """
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, got {jobs}")
     configs = [replace(base_cfg, dsl=replace(base_cfg.dsl, **{field: v})) for v in values]
     if len(set(values)) != len(values):
         raise ContractError(f"{field} values must be distinct, got {values}")
+    base_cfg.check_frame_len()
+    if not configs:
+        return []
     dataset = training.build_dataset(base_cfg.data)
     args = (configs, [dataset] * len(configs))
     workers = min(jobs, len(configs))

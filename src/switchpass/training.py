@@ -5,7 +5,9 @@ mask, and suffix; the imitation loss trains the light decoder only; the
 switch loss trains the switch only; the L1 penalty trains the mask weights
 only. The separation falls out of total_loss's stop-gradients (a detached
 latent and plain-array MSE targets), so one backward pass per batch covers
-everything.
+everything. Adam keeps the parameters, grads and moments in flat buffers
+(AdamState); each parameter's `.data` and `.grad` are views into them, so a
+step zeroes every grad with one fill and updates every parameter in place.
 """
 
 from __future__ import annotations
@@ -38,34 +40,69 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """Bias-corrected Adam moments as two flat arrays, laid out in parameter order."""
+    """Adam (Kingma & Ba, 2015) over one flat float64 buffer per quantity.
+
+    Parameters, grads and the moments m and v are flat arrays laid out in
+    parameter order. Construction copies each parameter into
+    `params` and makes its `.data` and `.grad` C-contiguous views of `params`
+    and `grads`, so the backward walk accumulates into `grads` and
+    `grads.fill(0.0)` zeroes every grad. A `.data` or `.grad` rebound since
+    (a loaded checkpoint, a grad assigned by hand, None read as zeros) is
+    copied back into its view at the next step.
+    """
 
     def __init__(self, named_params, lr: float = 1e-3):
         self.lr = float(lr)
         self.t = 0
-        self.m = np.zeros(sum(p.data.size for _, p in named_params))
-        self.v = np.zeros_like(self.m)
+        self.params = np.empty(sum(p.data.size for _, p in named_params))
+        self.grads = np.zeros_like(self.params)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self._scratch = (np.empty_like(self.params), np.empty_like(self.params))
+        self._views = []
+        start = 0
+        for _, p in named_params:
+            stop = start + p.data.size
+            self._views.append((self.params[start:stop].reshape(p.data.shape),
+                                self.grads[start:stop].reshape(p.data.shape)))
+            start = stop
+        self.sync(named_params)
+
+    def sync(self, named_params) -> None:
+        """Copies any rebound `.data` or `.grad` into its view and rebinds it."""
+        for (_, p), (data, grad) in zip(named_params, self._views):
+            if p.data is not data:
+                np.copyto(data, p.data)
+                p.data = data
+            if p.grad is not grad:
+                if p.grad is None:
+                    grad.fill(0.0)
+                else:
+                    np.copyto(grad, p.grad)
+                p.grad = grad
 
 
 def adam_step(named_params, state: AdamState) -> None:
-    """One update from the accumulated grads; a non-finite grad raises before any change."""
-    g = np.concatenate([np.zeros(p.data.size) if p.grad is None else np.ravel(p.grad)
-                        for _, p in named_params])
+    """One update from the accumulated grads; a non-finite grad raises before
+    any change. In-place ufuncs in the order of the textbook expression
+    p - lr * (m / c1) / (sqrt(v / c2) + eps), so the bits are its bits."""
+    state.sync(named_params)
+    g = state.grads
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient for parameter " + next(
-            n for n, p in named_params if p.grad is not None and not np.isfinite(p.grad).all()))
+            n for (n, _), (_, grad) in zip(named_params, state._views)
+            if not np.isfinite(grad).all()))
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    step, denom = state._scratch
     state.m *= b1
-    state.m += (1.0 - b1) * g
+    state.m += np.multiply(1.0 - b1, g, out=step)
     state.v *= b2
-    state.v += (1.0 - b2) * (g * g)
-    step = state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
-    start = 0
-    for _, p in named_params:
-        p.data = p.data - step[start:start + p.data.size].reshape(p.data.shape)
-        start += p.data.size
+    state.v += np.multiply(1.0 - b2, np.multiply(g, g, out=step), out=step)
+    np.multiply(state.lr, np.divide(state.m, c1, out=step), out=step)
+    step /= np.add(np.sqrt(np.divide(state.v, c2, out=denom), out=denom), ADAM_EPS, out=denom)
+    state.params -= step
 
 
 @dataclass
@@ -225,8 +262,7 @@ def train(cfg: TrainConfig, dataset: dat.Dataset | None = None) -> TrainResult:
         for start in range(0, n, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
             x = Tensor(train_mat[rows])
-            for _, p in named:
-                p.zero_grad()
+            state.grads.fill(0.0)
             loss, breakdown = total_loss(x, model)
             if not np.isfinite(breakdown["l_total"]):
                 raise TrainingError(f"training diverged at epoch {epoch}")

@@ -144,8 +144,22 @@ class TestSweepValuesRejectedBeforeAnyData:
         assert calls == []
 
     @pytest.mark.parametrize("sweep", [ev.sparsity_sweep, ev.placement_ablation])
-    def test_no_values_no_runs(self, sweep):
+    def test_no_values_no_runs(self, calls, sweep):
         assert sweep(tiny_config(epochs=1), []) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("sweep, values", [
+        (ev.sparsity_sweep, [0.001]),
+        (ev.placement_ablation, [1]),
+    ], ids=["sparsity_sweep", "placement_ablation"])
+    def test_frame_len_mismatch_builds_no_data(self, calls, sweep, values):
+        # data assigned after construction is not checked against dims by
+        # the config; the sweep checks it before building the corpus.
+        cfg = tiny_config(epochs=1)
+        cfg.data = training.DataConfig(spec=dat.SignalSpec(frame_len=32))
+        with pytest.raises(ConfigError, match="dims must start and end at data.frame_len"):
+            sweep(cfg, values)
+        assert calls == []
 
 
 class TestCalibrationProgress:

@@ -14,7 +14,7 @@ from switchpass import data as dat
 from switchpass import routing, training
 from switchpass.autograd import Tensor
 from switchpass.errors import ConfigError, FormatError, TrainingError
-from switchpass.model import SwitchedAutoencoder
+from switchpass.model import _SHUFFLE, SwitchedAutoencoder, derive_seed
 
 
 def tiny_config(**kw):
@@ -131,31 +131,112 @@ class TestFlatAdamMatchesReference:
     @given(st.lists(SHAPES, min_size=0, max_size=5), st.integers(0, 5),
            st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
     def test_every_step_bitwise_equal(self, shapes, scalar_at, n_steps, seed, data):
-        # One 0-d parameter always takes its gradient as a numpy scalar, as
+        # Between steps each grad is written into its view, rebound to a new
+        # array or rebound to None, and each .data may be rebound, as
+        # load_state_arrays does. The step copies what was rebound into the
+        # flat buffers and binds the same views again. One 0-d parameter
+        # always takes its gradient as a numpy scalar, as
         # evaluation.fit_probe's bias does.
         shapes.insert(min(scalar_at, len(shapes)), ())
+        n = len(shapes)
         rng = np.random.default_rng(seed)
         init = [rng.normal(size=shape) for shape in shapes]
         flat = [(f"p{i}", Tensor(x.copy())) for i, x in enumerate(init)]
         ref = [(f"p{i}", Tensor(x.copy())) for i, x in enumerate(init)]
         state = training.AdamState(flat, lr=0.01)
         reference = ReferenceAdam(ref, lr=0.01)
+        views = [(p.data, p.grad) for _, p in flat]
         for _ in range(n_steps):
-            missing = data.draw(st.lists(st.booleans(), min_size=len(shapes),
-                                         max_size=len(shapes)))
-            for (_, p), (_, q), shape, none in zip(flat, ref, shapes, missing):
-                g = None if none else rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4)
-                if g is not None and shape == ():
+            modes = data.draw(st.lists(st.sampled_from(["view", "rebind", "none"]),
+                                       min_size=n, max_size=n))
+            rebind_data = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            for (_, p), (_, q), shape, mode, rebind in zip(flat, ref, shapes, modes,
+                                                           rebind_data):
+                if rebind:
+                    p.data = rng.normal(size=shape)
+                    q.data = p.data.copy()
+                g = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4)
+                if shape == ():
                     g = np.float64(g)
-                p.grad = q.grad = g
+                q.grad = None if mode == "none" else g
+                if mode == "view":
+                    p.grad[...] = g
+                else:
+                    p.grad = q.grad
             training.adam_step(flat, state)
             reference.step(ref)
-            for (_, p), (_, q) in zip(flat, ref):
-                assert np.asarray(p.data).tobytes() == np.asarray(q.data).tobytes()
-            for flat_moment, moments in ((state.m, reference.m), (state.v, reference.v)):
-                laid = np.concatenate([np.ravel(moments[name]) for name, _ in ref])
-                assert flat_moment.tobytes() == laid.tobytes()
-            assert state.t == reference.t
+            assert_views_kept(flat, views, state)
+            assert_flat_equals_reference(flat, state, ref, reference)
+
+    def test_grads_from_backward_into_the_views(self):
+        # The training loop's path: one fill zeroes every grad and backward
+        # adds each leaf's adjoint into its view. The reference zeroes each
+        # parameter and backward copies the adjoint. Several backward calls in
+        # one step accumulate. Grads compare by value: a -0.0 adjoint lands as
+        # +0.0 in a zeroed view, and Adam's update is the same for both.
+        cfg = tiny_config()
+        models = [SwitchedAutoencoder(cfg.dims, cfg.activations, cfg.dsl, cfg.seed)
+                  for _ in range(2)]
+        flat, ref = (model.named_parameters() for model in models)
+        state = training.AdamState(flat, lr=cfg.lr)
+        reference = ReferenceAdam(ref, lr=cfg.lr)
+        views = [(p.data, p.grad) for _, p in flat]
+        rng = np.random.default_rng(3)
+        for calls in (1, 2, 1, 3):
+            state.grads.fill(0.0)
+            for _, q in ref:
+                q.zero_grad()
+            for _ in range(calls):
+                x = rng.uniform(-1, 1, (8, 16))
+                for model in models:
+                    ag.backward(training.total_loss(Tensor(x), model)[0])
+            for (name, p), (_, q), (_, grad) in zip(flat, ref, views):
+                assert p.grad is grad and np.array_equal(p.grad, q.grad), name
+            training.adam_step(flat, state)
+            reference.step(ref)
+            assert_views_kept(flat, views, state)
+            assert_flat_equals_reference(flat, state, ref, reference)
+
+
+def assert_views_kept(flat, views, state):
+    """Each parameter's .data and .grad are still its C-contiguous views of
+    the state's flat buffers."""
+    for (name, p), (data, grad) in zip(flat, views):
+        assert p.data is data and p.grad is grad, name
+        assert data.flags.c_contiguous and grad.flags.c_contiguous
+        assert np.shares_memory(data, state.params) and np.shares_memory(grad, state.grads)
+
+
+def assert_flat_equals_reference(flat, state, ref, reference):
+    for (_, p), (_, q) in zip(flat, ref):
+        assert np.asarray(p.data).tobytes() == np.asarray(q.data).tobytes()
+    for flat_moment, moments in ((state.m, reference.m), (state.v, reference.v)):
+        laid = np.concatenate([np.ravel(moments[name]) for name, _ in ref])
+        assert flat_moment.tobytes() == laid.tobytes()
+    assert state.t == reference.t
+
+
+def reference_train_checkpoints(cfg):
+    """train's loop with a zero_grad per parameter and ReferenceAdam: the
+    parameters at epoch 0 and after every epoch."""
+    dataset = training.build_dataset(cfg.data)
+    model = SwitchedAutoencoder(cfg.dims, cfg.activations, cfg.dsl, cfg.seed)
+    named = model.named_parameters()
+    adam = ReferenceAdam(named, lr=cfg.lr)
+    shuffle_rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _SHUFFLE)))
+    train_mat = dat.frames_to_matrix(dataset.train)
+    n = train_mat.shape[0]
+    checkpoints = [training.Checkpoint(0, model.state_arrays())]
+    for epoch in range(1, cfg.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            for _, p in named:
+                p.zero_grad()
+            x = Tensor(train_mat[order[start:start + cfg.batch_size]])
+            ag.backward(training.total_loss(x, model)[0])
+            adam.step(named)
+        checkpoints.append(training.Checkpoint(epoch, model.state_arrays()))
+    return checkpoints
 
 
 class TestTotalLoss:
@@ -309,6 +390,29 @@ class TestTrainLoop:
         )
         with pytest.raises(TrainingError, match="epoch"):
             training.train(cfg)
+
+    def test_checkpoints_equal_the_reference_loop(self):
+        cfg = tiny_config()
+        assert cfg.cadence() == 1
+        result = training.train(cfg)
+        assert ([training.checkpoint_json(c) for c in result.checkpoints]
+                == [training.checkpoint_json(c) for c in reference_train_checkpoints(cfg)])
+
+    def test_default_step_creates_25_tensors(self, monkeypatch):
+        # The batch Tensor and the graph of one default-config step on 32
+        # rows, counted by node ids between the ends of consecutive steps.
+        marks = []
+        step = training.adam_step
+
+        def marked(named, state):
+            step(named, state)
+            marks.append(Tensor(0.0).node_id)
+
+        monkeypatch.setattr(training, "adam_step", marked)
+        cfg = training.TrainConfig(epochs=1)
+        cfg.data = training.DataConfig(n_easy=80, n_hard=57)  # 96 train rows
+        training.train(cfg)
+        assert [b - a - 1 for a, b in zip(marks, marks[1:])] == [25, 25]
 
     def test_checkpoint_cadence_includes_initial_and_final(self):
         cfg = tiny_config(epochs=10)
