@@ -5,6 +5,11 @@ frames are sums of strong sinusoids. The difficulty tag exists purely for
 evaluation: no training code ever reads it. Generation is a pure function of
 (spec, index): every frame draws from its own generator seeded by
 (seed, stream, index), so parallel generation and regeneration agree bitwise.
+Each frame makes its noise draw, then its uniforms in one batched draw in
+stream order. The tones, clipping and peak normalization then run as
+whole-array passes over one (n, frame_len) matrix whose rows are the frames'
+samples. Every step is elementwise or a per-row max, so the bits are those of
+synthesizing each frame on its own.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ class SignalSpec:
             r = tuple(getattr(self, name))
             if len(r) != 2 or not np.isfinite(r).all() or r[0] > r[1]:
                 raise ConfigError(f"{name} must be two finite numbers, low <= high, got {r}")
+            if not np.isfinite(float(r[1]) - float(r[0])):
+                raise ConfigError(f"{name} must have a finite width high - low, got {r}")
         if self.seed < 0:
             raise ConfigError(f"data seed must be >= 0, got {self.seed}")
 
@@ -80,42 +87,67 @@ def _check_count(what: str, n: int) -> None:
         raise ContractError(f"{what}: frame count must be >= 0, got {n}")
 
 
+def _scale(u: np.ndarray, low: float, high: float) -> None:
+    """In place, u -> low + (high - low) * u: Generator.uniform's arithmetic, bit for bit."""
+    low, high = float(low), float(high)
+    u *= high - low
+    u += low
+
+
+def _tone(u: np.ndarray, freq_range, amp_range, out: np.ndarray) -> np.ndarray:
+    """Writes amp * sin(2 pi freq t + phase) into out's rows; u is (rows, 3) uniforms.
+
+    The uniforms (freq, phase, amp) are scaled in place. Each step is an
+    elementwise ufunc in the per-frame expression's order, so a row is
+    bitwise the tone that frame alone would get.
+    """
+    freq, phase, amp = u[:, 0:1], u[:, 1:2], u[:, 2:3]
+    _scale(freq, *freq_range)
+    _scale(phase, 0.0, 2.0 * np.pi)
+    _scale(amp, *amp_range)
+    freq *= 2.0 * np.pi
+    np.multiply(freq, np.arange(out.shape[1]), out=out)
+    out += phase
+    np.sin(out, out=out)
+    out *= amp
+    return out
+
+
 def gen_easy(spec: SignalSpec, n: int) -> list[Frame]:
     """Noise frames at easy_noise_amp, 30% of them with one faint tone."""
     _check_count("gen_easy", n)
-    frames = []
-    t = np.arange(spec.frame_len)
+    samples = np.empty((n, spec.frame_len))
+    u = np.empty((n, 3))
+    toned = []
     for i in range(n):
         rng = _frame_rng(spec.seed, _EASY_STREAM, i)
-        samples = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
-        if rng.uniform() < 0.3:
-            freq = rng.uniform(*spec.hard_freq_range)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            amp = rng.uniform(0.01, 0.05)
-            samples = samples + amp * np.sin(2.0 * np.pi * freq * t + phase)
-        samples = np.clip(samples, -1.0, 1.0)
-        frames.append(Frame(samples, EASY, f"easy:{i}"))
-    return frames
+        samples[i] = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
+        if rng.random() < 0.3:
+            rng.random(out=u[len(toned)])
+            toned.append(i)
+    m = len(toned)
+    samples[toned] += _tone(u[:m], spec.hard_freq_range, (0.01, 0.05),
+                            np.empty((m, spec.frame_len)))
+    np.clip(samples, -1.0, 1.0, out=samples)
+    return [Frame(samples[i], EASY, f"easy:{i}") for i in range(n)]
 
 
 def gen_hard(spec: SignalSpec, n: int) -> list[Frame]:
     """Sums of hard_components strong sinusoids plus noise, peak-normalized."""
     _check_count("gen_hard", n)
-    frames = []
-    t = np.arange(spec.frame_len)
+    samples = np.empty((n, spec.frame_len))
+    u = np.empty((n, spec.hard_components, 3))
     for i in range(n):
         rng = _frame_rng(spec.seed, _HARD_STREAM, i)
-        samples = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
-        for _ in range(spec.hard_components):
-            freq = rng.uniform(*spec.hard_freq_range)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            amp = rng.uniform(*spec.hard_amp_range)
-            samples = samples + amp * np.sin(2.0 * np.pi * freq * t + phase)
-        peak = np.max(np.abs(samples))
-        if peak > 1.0:
-            samples = samples / peak
-        frames.append(Frame(samples, HARD, f"hard:{i}"))
-    return frames
+        samples[i] = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
+        rng.random(out=u[i])
+    buf = np.empty_like(samples)
+    for k in range(spec.hard_components):
+        samples += _tone(u[:, k], spec.hard_freq_range, spec.hard_amp_range, buf)
+    peak = np.abs(samples, out=buf).max(axis=1, keepdims=True)
+    np.divide(samples, peak, out=samples, where=peak > 1.0)
+    del u, buf  # freed before the frames are made: the peak stays one matrix above the result
+    return [Frame(samples[i], HARD, f"hard:{i}") for i in range(n)]
 
 
 @dataclass

@@ -109,8 +109,11 @@ def test_non_finite_or_negative_config_number_rejected(build):
     ("data", "hard_freq_range", [0.02, INF]),
     ("data", "hard_amp_range", [0.9, 0.2]),
     ("data", "hard_freq_range", [0.02]),
+    ("data", "hard_freq_range", [-1.7e308, 1.7e308]),
+    ("data", "hard_amp_range", [-1.7e308, 1.7e308]),
 ], ids=["eps-nan", "epochs-inf", "hard_amp_range-nan", "hard_freq_range-inf",
-        "hard_amp_range-reversed", "hard_freq_range-one-value"])
+        "hard_amp_range-reversed", "hard_freq_range-one-value", "hard_freq_range-width-inf",
+        "hard_amp_range-width-inf"])
 def test_train_with_non_finite_config_number_exits_2(workdir, capsys, section, key, value):
     tmp_path, config = workdir
     doc = json.loads(config.read_text())

@@ -1,4 +1,6 @@
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,74 @@ from switchpass.errors import ConfigError, ContractError, FormatError
 
 def spec_with(**kw):
     return dat.SignalSpec(**{"seed": 123, **kw})
+
+
+# Per-frame references: the generators as they were before synthesis ran in
+# whole-array passes. The batched generators must reproduce them bit for bit.
+def reference_easy(spec, n):
+    frames = []
+    t = np.arange(spec.frame_len)
+    for i in range(n):
+        rng = dat._frame_rng(spec.seed, dat._EASY_STREAM, i)
+        samples = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
+        if rng.uniform() < 0.3:
+            freq = rng.uniform(*spec.hard_freq_range)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            amp = rng.uniform(0.01, 0.05)
+            samples = samples + amp * np.sin(2.0 * np.pi * freq * t + phase)
+        samples = np.clip(samples, -1.0, 1.0)
+        frames.append(dat.Frame(samples, dat.EASY, f"easy:{i}"))
+    return frames
+
+
+def reference_hard(spec, n):
+    frames = []
+    t = np.arange(spec.frame_len)
+    for i in range(n):
+        rng = dat._frame_rng(spec.seed, dat._HARD_STREAM, i)
+        samples = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
+        for _ in range(spec.hard_components):
+            freq = rng.uniform(*spec.hard_freq_range)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            amp = rng.uniform(*spec.hard_amp_range)
+            samples = samples + amp * np.sin(2.0 * np.pi * freq * t + phase)
+        peak = np.max(np.abs(samples))
+        if peak > 1.0:
+            samples = samples / peak
+        frames.append(dat.Frame(samples, dat.HARD, f"hard:{i}"))
+    return frames
+
+
+@pytest.mark.parametrize("frame_len", [1, 7, 64])
+@pytest.mark.parametrize("seed", [0, 123, 2**32 + 3])
+@pytest.mark.parametrize("gen, reference", [(dat.gen_easy, reference_easy),
+                                            (dat.gen_hard, reference_hard)],
+                         ids=["easy", "hard"])
+def test_generators_bitwise_equal_the_per_frame_reference(gen, reference, seed, frame_len):
+    # Noise 1.0 drives easy frames past the clip and hard peaks past 1.
+    for components, noise, n in itertools.product([0, 1, 3, 5], [0.0, 0.02, 1.0], [0, 1, 300]):
+        spec = dat.SignalSpec(frame_len=frame_len, easy_noise_amp=noise,
+                              hard_components=components, seed=seed)
+        got, want = gen(spec, n), reference(spec, n)
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            assert (g.samples.tobytes(), g.difficulty, g.source_id) == \
+                   (w.samples.tobytes(), w.difficulty, w.source_id), (spec, g.source_id)
+
+
+@pytest.mark.parametrize("gen", [dat.gen_easy, dat.gen_hard], ids=["easy", "hard"])
+def test_synthesis_holds_at_most_one_extra_frame_matrix(gen):
+    # Synthesis runs in place: past the memory the returned frames hold, the
+    # peak may add one (n, frame_len) float64 buffer and the uniform draws.
+    spec, n = spec_with(), 20000
+    tracemalloc.start()
+    try:
+        frames = gen(spec, n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == n
+    assert peak - held <= 8 * n * (spec.frame_len + 3 * spec.hard_components)
 
 
 class TestGenEasy:
@@ -52,6 +122,11 @@ class TestGenHard:
         b = dat.gen_hard(spec_with(), 20)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.samples, fb.samples)
+
+    def test_prefix_stable_per_frame_seeding(self):
+        a = dat.gen_hard(spec_with(), 5)
+        b = dat.gen_hard(spec_with(), 10)
+        assert np.array_equal(a[4].samples, b[4].samples)
 
     def test_amplitude_separation_vs_easy(self):
         easy = dat.gen_easy(spec_with(), 1000)
@@ -236,3 +311,10 @@ class TestSignalSpecValidation:
             dat.SignalSpec(easy_noise_amp=-0.1)
         with pytest.raises(ConfigError):
             dat.SignalSpec(hard_components=-1)
+
+    @pytest.mark.parametrize("name", ["hard_freq_range", "hard_amp_range"])
+    def test_range_whose_width_overflows(self, name):
+        # Each bound is finite, but high - low is not: Generator.uniform would
+        # raise OverflowError, and scaling by the width would give NaN frames.
+        with pytest.raises(ConfigError, match=rf"{name} must have a finite width"):
+            dat.SignalSpec(**{name: (-1.7e308, 1.7e308)})
