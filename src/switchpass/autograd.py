@@ -47,10 +47,14 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # One identical (1, k) x (k, n) BLAS call per row of x, so row i's bits
     # depend only on x[i] and y. They also depend on y's memory layout (a
     # transposed view and a contiguous copy differ), so every call site keeps
-    # the layout it passes. A one-row x is `x @ y`: numpy makes that same
-    # single call without the 3-D view. The only matrix product in the package.
-    if x.shape[0] == 1:
-        return x @ y
+    # the layout it passes. A one-row x is `x.dot(y)`, the same single BLAS
+    # call without matmul's dispatch, when two conditions keep its bits: k > 1
+    # (at k = 1 dot multiplies one term and keeps a -0.0 that BLAS, summing
+    # from +0.0, makes +0.0) and y C- or F-contiguous (otherwise dot may copy
+    # y and call BLAS where matmul runs numpy's own loop). The only matrix
+    # product in the package.
+    if x.shape[0] == 1 and x.shape[1] > 1 and (y.flags.c_contiguous or y.flags.f_contiguous):
+        return x.dot(y)
     return np.matmul(x[:, None, :], y)[:, 0, :]
 
 

@@ -63,15 +63,27 @@ class LatentMask:
     def __init__(self, dim: int, eps: float = 1e-3):
         self.w = Tensor(np.ones(dim), requires_grad=True)
         self.eps = float(eps)
+        self._hard_key = self._hard = None
 
     @property
     def dim(self) -> int:
         return self.w.shape[0]
 
     def hard_weights(self) -> np.ndarray:
-        """Weights with |w| < eps snapped to exactly 0 (inference view)."""
+        """Weights with |w| < eps snapped to exactly 0 (inference view), as a
+        read-only array.
+
+        Computed once per weight state: the result is kept under the bytes and
+        shape of `w.data` and `eps`, so a write in place, a rebound `.data`, a
+        loaded checkpoint or an Adam step (which writes through `AdamState`'s
+        views) is seen at the next call."""
         w = self.w.data
-        return np.where(np.abs(w) >= self.eps, w, 0.0)
+        key = (w.tobytes(), w.shape, self.eps)
+        if key != self._hard_key:
+            hard = np.where(np.abs(w) >= self.eps, w, 0.0)
+            hard.flags.writeable = False
+            self._hard_key, self._hard = key, hard
+        return self._hard
 
     def apply(self, h: Tensor) -> Tensor:
         """Soft-masked activation, tracked for training."""
@@ -192,7 +204,9 @@ def calibrate_threshold(predictions, target_light_fraction: float) -> float:
 
     Returns the linear-interpolation quantile of the predictions. With a
     degenerate (constant) distribution the strict `< tau` rule then routes
-    nothing light; callers wanting a different tie policy must nudge tau.
+    nothing light; callers wanting a different tie policy must nudge tau. A
+    quantile that is not finite (non-finite predictions from a diverged
+    switch) raises ContractError naming how many predictions were not finite.
     """
     preds = np.asarray(list(predictions), dtype=np.float64)
     if preds.size == 0:
@@ -201,7 +215,13 @@ def calibrate_threshold(predictions, target_light_fraction: float) -> float:
         raise ContractError(
             f"calibrate_threshold: fraction must be in [0, 1], got {target_light_fraction}"
         )
-    return float(np.quantile(preds, target_light_fraction, method="linear"))
+    tau = float(np.quantile(preds, target_light_fraction, method="linear"))
+    if not math.isfinite(tau):
+        bad = preds.size - int(np.count_nonzero(np.isfinite(preds)))
+        raise ContractError(
+            f"calibrate_threshold: the {target_light_fraction} quantile is {tau}; "
+            f"{bad} of {preds.size} predictions are not finite")
+    return tau
 
 
 def mixed_forward(

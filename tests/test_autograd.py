@@ -264,16 +264,32 @@ class TestRowInvariance:
         assert gx[0].tobytes() == full_gx[i].tobytes()
 
 
-@pytest.mark.parametrize("k, n", [(1, 1), (7, 1), (64, 1), (64, 32), (12, 64), (199, 97)])
-@pytest.mark.parametrize("right", ["contiguous", "transposed-view"])
+@pytest.mark.parametrize("k, n", [(1, 1), (7, 1), (64, 1), (33, 2), (12, 3), (64, 32), (12, 64),
+                                  (199, 97)])
+@pytest.mark.parametrize("right", ["contiguous", "transposed-view", "strided", "column-view"])
 @pytest.mark.parametrize("left", ["row", "misaligned-row", "column-view"])
-def test_one_row_product_equals_row_0_of_a_two_row_product(k, n, right, left):
-    # A one-row _mm is `x @ y`, a two-row one the per-row product; n = 1
-    # takes numpy's dot path. A column view is the left operand of the
+@pytest.mark.parametrize("zeros", [False, True], ids=["uniform", "signed-zeros"])
+def test_one_row_product_equals_row_0_of_a_two_row_product(k, n, right, left, zeros):
+    # A one-row _mm is `x.dot(y)` for k > 1 and a C- or F-contiguous y, and a
+    # two-row one the per-row product. A strided y (no unit stride) and a
+    # column view of a wider y (unit stride, not contiguous; dot differs at
+    # n = 2 and 3) must keep the per-row product, and so must k = 1, where a
+    # -0.0 term shows the difference: the signed-zero draw makes about half
+    # of each operand +-0.0. A column-view row is the left operand of the
     # weight gradient of a one-input layer.
     rng = np.random.default_rng(1000 * k + n)
-    x = rng.uniform(-2, 2, (2, k))
-    y = rng.uniform(-2, 2, (k, n)) if right == "contiguous" else rng.uniform(-2, 2, (n, k)).T
+
+    def draw(shape):
+        a = rng.uniform(-2, 2, shape)
+        if zeros:
+            a[rng.random(shape) < 0.5] *= 0.0
+        return a
+
+    x = draw((2, k))
+    y = {"contiguous": lambda: draw((k, n)),
+         "transposed-view": lambda: draw((n, k)).T,
+         "strided": lambda: draw((2 * k, 2 * n))[::2, ::2],
+         "column-view": lambda: draw((k, n + 2))[:, 1:n + 1]}[right]()
     row = {"row": x[:1].copy(), "misaligned-row": misaligned_row(x[0]),
            "column-view": np.ascontiguousarray(x[:1].T).T}[left]
     assert ag._mm(row, y).tobytes() == ag._mm(x, y)[0].tobytes()

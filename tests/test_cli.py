@@ -676,6 +676,32 @@ class TestGenData:
         assert np.array_equal(got, want)
 
 
+def test_eval_with_non_finite_switch_predictions_exits_2(tmp_path, capsys):
+    # Every weight is finite, so load_checkpoint accepts the checkpoint, but
+    # alternating +-1e300 switch weights overflow the switch's predictions
+    # and the calibrated tau is NaN: eval names it before making output_dir.
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["data"].update(n_easy=60, n_hard=40)
+    doc["train"]["epochs"] = 2
+    doc["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", str(config)]) == 0
+    ckpt = json.loads((tmp_path / "out" / "checkpoint_final.json").read_text())
+    for name in ("switch.0.weights", "switch.1.weights"):
+        size = int(np.prod(ckpt["params"][name]["shape"]))
+        values = np.resize([1e300, -1e300], size).astype("<f8")
+        ckpt["params"][name]["float64le"] = values.tobytes().hex()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(ckpt))
+    out = redirect_output(config, tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["eval", str(config), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: calibrate_threshold:")
+    assert "predictions are not finite" in err
+    assert not out.exists()
+
 def test_eval_uses_config_fraction_when_no_flags(workdir):
     tmp_path, config = workdir
     doc = json.loads(config.read_text())

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchpass import autograd as ag
-from switchpass import nn, routing
+from switchpass import nn, routing, training
 from switchpass.autograd import MacCounter, Tensor
 from switchpass.errors import ConfigError, ContractError, DimensionError
 from switchpass.model import SwitchedAutoencoder
@@ -31,6 +31,40 @@ class TestMask:
         mask = routing.LatentMask(3, eps=1e-3)
         mask.w.data = np.array([0.5, 1e-6, -0.2])
         assert np.array_equal(mask.hard_weights(), [0.5, 0.0, -0.2])
+
+    @pytest.mark.parametrize("change", [
+        "write-in-place", "rebind", "eps", "load-state-arrays", "adam-step"])
+    def test_hard_weights_follow_every_change_of_the_weights(self, change):
+        model = SwitchedAutoencoder([8, 6, 5, 8], ["tanh", "relu", "none"],
+                                    routing.SwitchConfig(), seed=0)
+        params = model.named_parameters()
+        state = training.AdamState(params, lr=0.01)
+        mask = model.mask
+        before = mask.hard_weights().copy()
+        if change == "write-in-place":
+            mask.w.data[1] = 1e-6
+        elif change == "rebind":
+            mask.w.data = np.array([0.5, 1e-6, -0.2, 0.3, 2.0, -1e-4])
+        elif change == "eps":
+            mask.eps = 1.5
+        elif change == "load-state-arrays":
+            arrays = model.state_arrays()
+            arrays["mask.w"] = np.array([0.5, 1e-6, -0.2, 0.3, 2.0, -1e-4])
+            model.load_state_arrays(arrays)
+        else:
+            mask.w.grad += np.arange(6.0) - 2.0
+            training.adam_step(params, state)
+        w = mask.w.data
+        want = np.where(np.abs(w) >= mask.eps, w, 0.0)
+        assert want.tobytes() != before.tobytes()
+        assert mask.hard_weights().tobytes() == want.tobytes()
+
+    def test_hard_weights_computed_once_per_weight_state(self):
+        mask = routing.LatentMask(3)
+        first = mask.hard_weights()
+        assert mask.hard_weights() is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
 
     def test_train_mode_gradient_wrt_weights_is_input(self):
         mask = routing.LatentMask(4)
@@ -252,6 +286,12 @@ class TestCalibration:
             routing.calibrate_threshold([], 0.5)
         with pytest.raises(ContractError):
             routing.calibrate_threshold([1.0], 1.5)
+
+    @pytest.mark.parametrize("preds, bad", [([np.inf, np.inf], 2), ([1.0, np.nan, 3.0], 1)])
+    def test_quantile_that_is_not_finite_is_an_error(self, preds, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ContractError, match=f"{bad} of {len(preds)} predictions are not finite"):
+            routing.calibrate_threshold(preds, 0.5)
 
 
 class TestSparsity:
