@@ -33,9 +33,7 @@ _SCHEMA = {
              "placement": ("dsl", int), "rho": ("dsl", float)},
     "dsl": {"alpha": ("dsl", float), "beta": ("dsl", float), "eps": ("dsl", float),
             "tau": ("run", float), "target_light_fraction": ("run", float)},
-    "data": {"frame_len": ("spec", int), "easy_noise_amp": ("spec", float),
-             "hard_components": ("spec", int), "hard_freq_range": ("spec", (float,)),
-             "hard_amp_range": ("spec", (float,)), "seed": ("spec", int),
+    "data": {"frame_len": ("spec", int), "seed": ("spec", int),
              "n_easy": ("data", int), "n_hard": ("data", int),
              "ratios": ("data", (float,)), "wav_paths": ("data", [str])},
     "train": {"epochs": ("train", int), "batch_size": ("train", int),

@@ -1,8 +1,10 @@
 """Synthetic easy/hard frame generation, dataset splitting, and WAV ingestion.
 
 Easy frames are low-amplitude noise (sometimes with a faint tone); hard
-frames are sums of strong sinusoids. The difficulty tag exists purely for
-evaluation: no training code ever reads it. Generation is a pure function of
+frames are sums of strong sinusoids over the same noise. The corpus shape is
+the block of constants below, read at call time; a SignalSpec sets only the
+frame length and the seed. The difficulty tag exists purely for evaluation:
+no training code ever reads it. Generation is a pure function of
 (spec, index): every frame draws from its own generator seeded by
 (seed, stream, index), so parallel generation and regeneration agree bitwise.
 Each frame makes its noise draw, then its uniforms in one batched draw in
@@ -29,12 +31,23 @@ _EASY_STREAM = 0
 _HARD_STREAM = 1
 _SPLIT_STREAM = 2
 
+# The corpus shape. Every frame is Gaussian noise of standard deviation
+# NOISE_AMP; EASY_TONE_SHARE of the easy frames add one faint tone, and every
+# hard frame adds HARD_COMPONENTS strong ones. A range is the (low, high) of a
+# uniform draw; frequencies are in cycles per sample.
+NOISE_AMP = 0.02
+EASY_TONE_SHARE = 0.3
+EASY_TONE_AMP_RANGE = (0.01, 0.05)
+HARD_COMPONENTS = 3
+HARD_AMP_RANGE = (0.2, 0.9)
+FREQ_RANGE = (0.02, 0.45)
+
 #: Sample rate written into generated WAV files.
 WAV_RATE = 16000
 
-#: Largest value a config may give a size: frame_len, hard_components, n_easy,
-#: n_hard, each dims entry and the dense weight count of dims. Far past it numpy
-#: cannot allocate the arrays, or generation does not finish.
+#: Largest value a config may give a size: frame_len, n_easy, n_hard, each dims
+#: entry and the dense weight count of dims. Far past it numpy cannot allocate
+#: the arrays.
 MAX_SIZE = 2 ** 24
 
 
@@ -53,27 +66,12 @@ class Frame:
 @dataclass
 class SignalSpec:
     frame_len: int = 64
-    easy_noise_amp: float = 0.02
-    hard_components: int = 3
-    hard_freq_range: tuple[float, float] = (0.02, 0.45)  # cycles per sample
-    hard_amp_range: tuple[float, float] = (0.2, 0.9)
     seed: int = 0
 
     def __post_init__(self):
         if self.frame_len <= 0:
             raise ConfigError(f"frame_len must be positive, got {self.frame_len}")
-        if not 0 <= self.easy_noise_amp < np.inf:
-            raise ConfigError(f"easy_noise_amp must be finite and >= 0, got {self.easy_noise_amp}")
-        if self.hard_components < 0:
-            raise ConfigError(f"hard_components must be >= 0, got {self.hard_components}")
         check_size("frame_len", self.frame_len)
-        check_size("hard_components", self.hard_components)
-        for name in ("hard_freq_range", "hard_amp_range"):
-            r = tuple(getattr(self, name))
-            if len(r) != 2 or not np.isfinite(r).all() or r[0] > r[1]:
-                raise ConfigError(f"{name} must be two finite numbers, low <= high, got {r}")
-            if not np.isfinite(float(r[1]) - float(r[0])):
-                raise ConfigError(f"{name} must have a finite width high - low, got {r}")
         if self.seed < 0:
             raise ConfigError(f"data seed must be >= 0, got {self.seed}")
 
@@ -114,36 +112,36 @@ def _tone(u: np.ndarray, freq_range, amp_range, out: np.ndarray) -> np.ndarray:
 
 
 def gen_easy(spec: SignalSpec, n: int) -> list[Frame]:
-    """Noise frames at easy_noise_amp, 30% of them with one faint tone."""
+    """Noise frames at NOISE_AMP, EASY_TONE_SHARE of them with one faint tone."""
     _check_count("gen_easy", n)
     samples = np.empty((n, spec.frame_len))
     u = np.empty((n, 3))
     toned = []
     for i in range(n):
         rng = _frame_rng(spec.seed, _EASY_STREAM, i)
-        samples[i] = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
-        if rng.random() < 0.3:
+        samples[i] = rng.normal(0.0, NOISE_AMP, spec.frame_len)
+        if rng.random() < EASY_TONE_SHARE:
             rng.random(out=u[len(toned)])
             toned.append(i)
     m = len(toned)
-    samples[toned] += _tone(u[:m], spec.hard_freq_range, (0.01, 0.05),
+    samples[toned] += _tone(u[:m], FREQ_RANGE, EASY_TONE_AMP_RANGE,
                             np.empty((m, spec.frame_len)))
     np.clip(samples, -1.0, 1.0, out=samples)
     return [Frame(samples[i], EASY, f"easy:{i}") for i in range(n)]
 
 
 def gen_hard(spec: SignalSpec, n: int) -> list[Frame]:
-    """Sums of hard_components strong sinusoids plus noise, peak-normalized."""
+    """Sums of HARD_COMPONENTS strong sinusoids plus noise, peak-normalized."""
     _check_count("gen_hard", n)
     samples = np.empty((n, spec.frame_len))
-    u = np.empty((n, spec.hard_components, 3))
+    u = np.empty((n, HARD_COMPONENTS, 3))
     for i in range(n):
         rng = _frame_rng(spec.seed, _HARD_STREAM, i)
-        samples[i] = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
+        samples[i] = rng.normal(0.0, NOISE_AMP, spec.frame_len)
         rng.random(out=u[i])
     buf = np.empty_like(samples)
-    for k in range(spec.hard_components):
-        samples += _tone(u[:, k], spec.hard_freq_range, spec.hard_amp_range, buf)
+    for k in range(HARD_COMPONENTS):
+        samples += _tone(u[:, k], FREQ_RANGE, HARD_AMP_RANGE, buf)
     peak = np.abs(samples, out=buf).max(axis=1, keepdims=True)
     np.divide(samples, peak, out=samples, where=peak > 1.0)
     del u, buf  # freed before the frames are made: the peak stays one matrix above the result
@@ -204,7 +202,7 @@ def _read_exact(buf: bytes, offset: int, count: int, what: str) -> bytes:
     return buf[offset:offset + count]
 
 
-def load_wav(path, frame_len: int = 64) -> list[Frame]:
+def load_wav(path, frame_len: int = SignalSpec.frame_len) -> list[Frame]:
     """Parses a RIFF/WAVE file (PCM, mono, 16-bit) into consecutive frames.
 
     Samples are scaled by 1/32768 into [-1, 1); a trailing remainder shorter

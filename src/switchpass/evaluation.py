@@ -99,12 +99,11 @@ class ParityReport:
 
 def _outputs(model: SwitchedAutoencoder, frames, tau: float):
     """The frames' input matrix, their full, light and mixed outputs from one
-    model.passes, and which of them route light."""
+    model.passes, and their switch predictions."""
     x = dat.frames_to_matrix(frames)
     pred, light, full = model.passes(x)
-    routes_light = pred < tau
     return x, {"full": full, "light": light,
-               "mixed": np.where(routes_light[:, None], light, full)}, routes_light
+               "mixed": np.where((pred < tau)[:, None], light, full)}, pred
 
 
 def _parity(x: np.ndarray, outs: dict, rows=slice(None)) -> ParityReport:
@@ -302,16 +301,21 @@ def eval_reports(model: SwitchedAutoencoder, dataset: dat.Dataset, tau: float):
     """routing_stats and quality_parity of the test split, quality_parity of
     each difficulty in it, keyed "overall", "easy" and "hard", and
     downstream_probe, bit for bit, from one model.passes over the test split.
-    The split must not be empty."""
+    The split must not be empty, and a switch prediction on it that is not
+    finite (from a diverged switch) raises ContractError naming the count."""
     frames = dataset.test
-    x, outs, routes_light = _outputs(model, frames, tau)
+    x, outs, pred = _outputs(model, frames, tau)
+    bad = pred.size - int(np.count_nonzero(np.isfinite(pred)))
+    if bad:
+        raise ContractError(f"eval_reports: {bad} of {pred.size} switch predictions on the "
+                            f"test split are not finite")
     parity = {"overall": _parity(x, outs)}
     tags = _tags(frames)
     for tag in (dat.EASY, dat.HARD):
         rows = np.flatnonzero(tags == tag)
         if rows.size:
             parity[tag] = _parity(x, outs, rows)
-    return (_routing_report(model, tags, routes_light, tau), parity,
+    return (_routing_report(model, tags, pred < tau, tau), parity,
             _probe(model, dataset, tau, outs, tags))
 
 

@@ -36,13 +36,9 @@ class SwitchedAutoencoder:
 
     def __init__(self, dims, activations, cfg: routing.SwitchConfig, seed: int):
         check_placement(cfg.placement, dims)
-        self.dims = list(dims)
-        self.activations = list(activations)
         self.cfg = cfg
-        self.seed = seed
-
-        self.net = nn.init_network(dims, activations, derive_seed(seed, _NET))
-        self.prefix, self.suffix = self.net.split_at(cfg.placement)
+        net = nn.init_network(dims, activations, derive_seed(seed, _NET))
+        self.prefix, self.suffix = net.split_at(cfg.placement)
         d = self.suffix.input_dim
         self.mask = routing.LatentMask(d, eps=cfg.eps)
         self.switch = routing.build_switch(d, seed=derive_seed(seed, _SWITCH))

@@ -31,12 +31,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[1]
 
-    def param_count(self) -> int:
-        return self.out_dim * self.in_dim + self.out_dim
-
-    def mac_count(self) -> int:
-        return self.out_dim * self.in_dim
-
 
 @dataclass
 class Network:
@@ -74,11 +68,11 @@ class Network:
 
 
 def param_count(net: Network) -> int:
-    return sum(layer.param_count() for layer in net.layers)
+    return sum(layer.in_dim * layer.out_dim + layer.out_dim for layer in net.layers)
 
 
 def mac_count(net: Network) -> int:
-    return sum(layer.mac_count() for layer in net.layers)
+    return sum(layer.in_dim * layer.out_dim for layer in net.layers)
 
 
 def check_architecture(dims, activations) -> None:

@@ -60,7 +60,7 @@ class SwitchConfig:
 class LatentMask:
     """Per-dimension multiplicative weights on the activation map."""
 
-    def __init__(self, dim: int, eps: float = 1e-3):
+    def __init__(self, dim: int, eps: float = SwitchConfig.eps):
         self.w = Tensor(np.ones(dim), requires_grad=True)
         self.eps = float(eps)
         self._hard_key = self._hard = None
@@ -205,8 +205,9 @@ def calibrate_threshold(predictions, target_light_fraction: float) -> float:
     Returns the linear-interpolation quantile of the predictions. With a
     degenerate (constant) distribution the strict `< tau` rule then routes
     nothing light; callers wanting a different tie policy must nudge tau. A
-    quantile that is not finite (non-finite predictions from a diverged
-    switch) raises ContractError naming how many predictions were not finite.
+    prediction that is not finite (from a diverged switch) raises
+    ContractError naming how many were not finite, even where the quantile
+    itself would be finite.
     """
     preds = np.asarray(list(predictions), dtype=np.float64)
     if preds.size == 0:
@@ -215,13 +216,11 @@ def calibrate_threshold(predictions, target_light_fraction: float) -> float:
         raise ContractError(
             f"calibrate_threshold: fraction must be in [0, 1], got {target_light_fraction}"
         )
-    tau = float(np.quantile(preds, target_light_fraction, method="linear"))
-    if not math.isfinite(tau):
-        bad = preds.size - int(np.count_nonzero(np.isfinite(preds)))
+    bad = preds.size - int(np.count_nonzero(np.isfinite(preds)))
+    if bad:
         raise ContractError(
-            f"calibrate_threshold: the {target_light_fraction} quantile is {tau}; "
-            f"{bad} of {preds.size} predictions are not finite")
-    return tau
+            f"calibrate_threshold: {bad} of {preds.size} predictions are not finite")
+    return float(np.quantile(preds, target_light_fraction, method="linear"))
 
 
 def mixed_forward(

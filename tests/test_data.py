@@ -14,17 +14,18 @@ def spec_with(**kw):
 
 
 # Per-frame references: the generators as they were before synthesis ran in
-# whole-array passes. The batched generators must reproduce them bit for bit.
+# whole-array passes, reading the same corpus-shape constants. The batched
+# generators must reproduce them bit for bit.
 def reference_easy(spec, n):
     frames = []
     t = np.arange(spec.frame_len)
     for i in range(n):
         rng = dat._frame_rng(spec.seed, dat._EASY_STREAM, i)
-        samples = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
-        if rng.uniform() < 0.3:
-            freq = rng.uniform(*spec.hard_freq_range)
+        samples = rng.normal(0.0, dat.NOISE_AMP, spec.frame_len)
+        if rng.uniform() < dat.EASY_TONE_SHARE:
+            freq = rng.uniform(*dat.FREQ_RANGE)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            amp = rng.uniform(0.01, 0.05)
+            amp = rng.uniform(*dat.EASY_TONE_AMP_RANGE)
             samples = samples + amp * np.sin(2.0 * np.pi * freq * t + phase)
         samples = np.clip(samples, -1.0, 1.0)
         frames.append(dat.Frame(samples, dat.EASY, f"easy:{i}"))
@@ -36,11 +37,11 @@ def reference_hard(spec, n):
     t = np.arange(spec.frame_len)
     for i in range(n):
         rng = dat._frame_rng(spec.seed, dat._HARD_STREAM, i)
-        samples = rng.normal(0.0, spec.easy_noise_amp, spec.frame_len)
-        for _ in range(spec.hard_components):
-            freq = rng.uniform(*spec.hard_freq_range)
+        samples = rng.normal(0.0, dat.NOISE_AMP, spec.frame_len)
+        for _ in range(dat.HARD_COMPONENTS):
+            freq = rng.uniform(*dat.FREQ_RANGE)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            amp = rng.uniform(*spec.hard_amp_range)
+            amp = rng.uniform(*dat.HARD_AMP_RANGE)
             samples = samples + amp * np.sin(2.0 * np.pi * freq * t + phase)
         peak = np.max(np.abs(samples))
         if peak > 1.0:
@@ -54,16 +55,19 @@ def reference_hard(spec, n):
 @pytest.mark.parametrize("gen, reference", [(dat.gen_easy, reference_easy),
                                             (dat.gen_hard, reference_hard)],
                          ids=["easy", "hard"])
-def test_generators_bitwise_equal_the_per_frame_reference(gen, reference, seed, frame_len):
+def test_generators_bitwise_equal_the_per_frame_reference(gen, reference, seed, frame_len,
+                                                          monkeypatch):
     # Noise 1.0 drives easy frames past the clip and hard peaks past 1.
+    spec = dat.SignalSpec(frame_len=frame_len, seed=seed)
     for components, noise, n in itertools.product([0, 1, 3, 5], [0.0, 0.02, 1.0], [0, 1, 300]):
-        spec = dat.SignalSpec(frame_len=frame_len, easy_noise_amp=noise,
-                              hard_components=components, seed=seed)
+        monkeypatch.setattr(dat, "HARD_COMPONENTS", components)
+        monkeypatch.setattr(dat, "NOISE_AMP", noise)
         got, want = gen(spec, n), reference(spec, n)
         assert len(got) == len(want) == n
         for g, w in zip(got, want):
             assert (g.samples.tobytes(), g.difficulty, g.source_id) == \
-                   (w.samples.tobytes(), w.difficulty, w.source_id), (spec, g.source_id)
+                   (w.samples.tobytes(), w.difficulty, w.source_id), \
+                   (spec, components, noise, g.source_id)
 
 
 @pytest.mark.parametrize("gen", [dat.gen_easy, dat.gen_hard], ids=["easy", "hard"])
@@ -78,12 +82,13 @@ def test_synthesis_holds_at_most_one_extra_frame_matrix(gen):
     finally:
         tracemalloc.stop()
     assert len(frames) == n
-    assert peak - held <= 8 * n * (spec.frame_len + 3 * spec.hard_components)
+    assert peak - held <= 8 * n * (spec.frame_len + 3 * dat.HARD_COMPONENTS)
 
 
 class TestGenEasy:
-    def test_zero_noise_frames_without_tone_are_all_zero(self):
-        frames = dat.gen_easy(spec_with(easy_noise_amp=0.0), 50)
+    def test_zero_noise_frames_without_tone_are_all_zero(self, monkeypatch):
+        monkeypatch.setattr(dat, "NOISE_AMP", 0.0)
+        frames = dat.gen_easy(spec_with(), 50)
         silent = [f for f in frames if np.max(np.abs(f.samples)) == 0.0]
         toned = [f for f in frames if np.max(np.abs(f.samples)) > 0.0]
         # The faint tone rides on ~30% of frames; the rest must be exactly zero.
@@ -112,8 +117,9 @@ class TestGenEasy:
 
 
 class TestGenHard:
-    def test_zero_components_reduces_to_noise(self):
-        frames = dat.gen_hard(spec_with(hard_components=0), 100)
+    def test_zero_components_reduces_to_noise(self, monkeypatch):
+        monkeypatch.setattr(dat, "HARD_COMPONENTS", 0)
+        frames = dat.gen_hard(spec_with(), 100)
         stds = [np.std(f.samples) for f in frames]
         assert 0.015 < np.mean(stds) < 0.025  # noise amp 0.02
 
@@ -307,14 +313,3 @@ class TestSignalSpecValidation:
     def test_bad_values(self):
         with pytest.raises(ConfigError):
             dat.SignalSpec(frame_len=0)
-        with pytest.raises(ConfigError):
-            dat.SignalSpec(easy_noise_amp=-0.1)
-        with pytest.raises(ConfigError):
-            dat.SignalSpec(hard_components=-1)
-
-    @pytest.mark.parametrize("name", ["hard_freq_range", "hard_amp_range"])
-    def test_range_whose_width_overflows(self, name):
-        # Each bound is finite, but high - low is not: Generator.uniform would
-        # raise OverflowError, and scaling by the width would give NaN frames.
-        with pytest.raises(ConfigError, match=rf"{name} must have a finite width"):
-            dat.SignalSpec(**{name: (-1.7e308, 1.7e308)})

@@ -287,8 +287,9 @@ class TestCalibration:
         with pytest.raises(ContractError):
             routing.calibrate_threshold([1.0], 1.5)
 
-    @pytest.mark.parametrize("preds, bad", [([np.inf, np.inf], 2), ([1.0, np.nan, 3.0], 1)])
-    def test_quantile_that_is_not_finite_is_an_error(self, preds, bad):
+    @pytest.mark.parametrize("preds, bad", [([np.inf, np.inf], 2), ([1.0, np.nan, 3.0], 1),
+                                            ([0.0, 0.0, 0.0, np.inf], 1)])
+    def test_prediction_that_is_not_finite_is_an_error(self, preds, bad):
         with np.errstate(invalid="ignore"), pytest.raises(
                 ContractError, match=f"{bad} of {len(preds)} predictions are not finite"):
             routing.calibrate_threshold(preds, 0.5)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from switchpass import autograd as ag
 from switchpass import data as dat
-from switchpass import routing, training
+from switchpass import nn, routing, training
 from switchpass.autograd import Tensor
 from switchpass.errors import ConfigError, FormatError, TrainingError
 from switchpass.model import _SHUFFLE, SwitchedAutoencoder, derive_seed
@@ -571,33 +571,34 @@ class TestCheckpointPersistence:
         assert np.array_equal(restored.full_output(x).data, want)
 
 
-def assert_dense_layout(model: SwitchedAutoencoder) -> None:
+def assert_dense_layout(model: SwitchedAutoencoder, dims) -> None:
     """Every dense weight matrix is C-contiguous (in, out): the dense kernel's
     bits and speed both depend on that layout."""
-    for net in (model.net, model.switch.net, model.light):
+    trunk = nn.Network(model.prefix.layers + model.suffix.layers, model.prefix.input_dim)
+    for net in (trunk, model.switch.net, model.light):
         widths = [net.input_dim] + [layer.bias.shape[0] for layer in net.layers]
         for k, layer in enumerate(net.layers):
             w = layer.weights.data
             assert w.flags.c_contiguous
             assert w.shape == (widths[k], widths[k + 1])
-        if net is model.net:
-            assert widths == model.dims
+        if net is trunk:
+            assert widths == dims
 
 
 def test_dense_weights_stay_c_contiguous_in_out(tmp_path):
     cfg = tiny_config()
     model = SwitchedAutoencoder(cfg.dims, cfg.activations, cfg.dsl, cfg.seed)
-    assert_dense_layout(model)
+    assert_dense_layout(model, cfg.dims)
 
     named = model.named_parameters()
     x = Tensor(dat.frames_to_matrix(training.build_dataset(cfg.data).train[:16]))
     ag.backward(training.total_loss(x, model)[0])
     training.adam_step(named, training.AdamState(named))
-    assert_dense_layout(model)
+    assert_dense_layout(model, cfg.dims)
 
     path = tmp_path / "ckpt.json"
     training.save_checkpoint(training.Checkpoint(1, model.state_arrays()), path)
-    assert_dense_layout(training.restore_model(cfg, training.load_checkpoint(path)))
+    assert_dense_layout(training.restore_model(cfg, training.load_checkpoint(path)), cfg.dims)
 
 
 class TestMetricsCsv:

@@ -4,6 +4,10 @@
 
 Runs, through `switchpass.cli.main` and the `src` tree beside this script:
 
+- the default run's corpus: its train, calibrate and test splits, each as
+  `data.frames_to_matrix(split).tobytes()`, in that order, into
+  OUT_DIR/runs/default/corpus.bin, so a change to generation or splitting
+  shows at the corpus, not only through 20 epochs of training;
 - a default-config `train` for 20 epochs with a checkpoint every 5, into
   OUT_DIR/runs/default;
 - `eval --target-light-fraction 0.6` on that run's final checkpoint, into
@@ -127,6 +131,9 @@ def _write_raw_bits(config: str, checkpoint: str) -> None:
     run = cli._load(config, None)
     model = training.restore_model(run.train_cfg, training.load_checkpoint(checkpoint))
     dataset = training.build_dataset(run.train_cfg.data)
+    with open(os.path.join(run_dir, "corpus.bin"), "wb") as fh:
+        for split in (dataset.train, dataset.calibrate, dataset.test):
+            fh.write(dat.frames_to_matrix(split).tobytes())
     x = Tensor(dat.frames_to_matrix(dataset.test))
     with open(os.path.join(run_dir, "eval_summary.json")) as fh:
         tau = json.load(fh)["tau"]
