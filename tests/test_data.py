@@ -70,6 +70,28 @@ def test_generators_bitwise_equal_the_per_frame_reference(gen, reference, seed, 
                    (spec, components, noise, g.source_id)
 
 
+@pytest.mark.parametrize("gen, reference, name, value", [
+    (dat.gen_easy, reference_easy, "NOISE_AMP", 0.5),
+    (dat.gen_easy, reference_easy, "EASY_TONE_SHARE", 1.0),
+    (dat.gen_easy, reference_easy, "EASY_TONE_AMP_RANGE", (0.4, 0.6)),
+    (dat.gen_easy, reference_easy, "FREQ_RANGE", (0.1, 0.2)),
+    (dat.gen_hard, reference_hard, "NOISE_AMP", 0.5),
+    (dat.gen_hard, reference_hard, "HARD_COMPONENTS", 1),
+    (dat.gen_hard, reference_hard, "HARD_AMP_RANGE", (0.05, 0.1)),
+    (dat.gen_hard, reference_hard, "FREQ_RANGE", (0.1, 0.2)),
+], ids=["easy-NOISE_AMP", "easy-EASY_TONE_SHARE", "easy-EASY_TONE_AMP_RANGE", "easy-FREQ_RANGE",
+        "hard-NOISE_AMP", "hard-HARD_COMPONENTS", "hard-HARD_AMP_RANGE", "hard-FREQ_RANGE"])
+def test_generators_read_each_corpus_constant_at_call_time(gen, reference, name, value,
+                                                           monkeypatch):
+    # Each constant shapes the frames, and its value at call time is the one used.
+    spec, n = spec_with(), 50
+    before = [f.samples.tobytes() for f in gen(spec, n)]
+    monkeypatch.setattr(dat, name, value)
+    got = [f.samples.tobytes() for f in gen(spec, n)]
+    assert got == [f.samples.tobytes() for f in reference(spec, n)]
+    assert got != before
+
+
 @pytest.mark.parametrize("gen", [dat.gen_easy, dat.gen_hard], ids=["easy", "hard"])
 def test_synthesis_holds_at_most_one_extra_frame_matrix(gen):
     # Synthesis runs in place: past the memory the returned frames hold, the
@@ -228,6 +250,11 @@ class TestLoadWav:
         for f in frames:
             assert np.array_equal(f.samples, np.zeros(64))
             assert f.difficulty == dat.HARD
+
+    def test_default_frame_len_is_the_signal_spec_default(self, tmp_path):
+        n = dat.SignalSpec().frame_len
+        path = write_raw_wav(tmp_path / "d.wav", [0] * (2 * n + 1))
+        assert [len(f.samples) for f in dat.load_wav(path)] == [n, n]
 
     def test_trailing_remainder_dropped(self, tmp_path):
         path = write_raw_wav(tmp_path / "t.wav", [100] * 100)

@@ -27,6 +27,9 @@ class TestMask:
         assert np.array_equal(mask.apply(h).data, h.data)
         assert np.array_equal(h.data * mask.hard_weights(), h.data)
 
+    def test_default_eps_is_the_switch_config_default(self):
+        assert routing.LatentMask(4).eps == routing.SwitchConfig().eps
+
     def test_infer_hard_zeroes_small_weights(self):
         mask = routing.LatentMask(3, eps=1e-3)
         mask.w.data = np.array([0.5, 1e-6, -0.2])
