@@ -224,6 +224,17 @@ def dense_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str = "none") 
     return z if f is None else f(z)
 
 
+def dense_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray, out: np.ndarray, act: str,
+              need_gx: bool):
+    """The gradients (gx, gw, gb) of out = dense_array(x, w, b, act) for an
+    output adjoint g: the arrays the matmul, bias-add and activation ops'
+    VJPs return, in their order. gx is None when not needed."""
+    df = _ACT[act][1]
+    gz = g if df is None else g * df(out)
+    gx = _mm(gz, w.T) if need_gx else None
+    return gx, _mm(x.T, gz), gz.sum(axis=0)
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
     """act(x @ w + b) as one node, for x (m, k), w (k, n) and b (n,).
 
@@ -233,14 +244,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
     """
     xd, wd = x.data, w.data
     out = dense_array(xd, wd, b.data, act)
-    df = _ACT[act][1]
-
-    def vjp(g):
-        gz = g if df is None else g * df(out)
-        gx = _mm(gz, wd.T) if x.requires_grad else None
-        return gx, _mm(xd.T, gz), gz.sum(axis=0)
-
-    return _track(out, (x, w, b), vjp)
+    return _track(out, (x, w, b), lambda g: dense_vjp(g, xd, wd, out, act, x.requires_grad))
 
 
 def reduce(a: Tensor, kind: str) -> Tensor:
@@ -263,22 +267,31 @@ def reduce(a: Tensor, kind: str) -> Tensor:
     return _track(np.asarray(out), (a,), vjp)
 
 
+def mse_array(a: np.ndarray, target: np.ndarray):
+    """The value of `mse` on plain arrays, and the difference d = a - target
+    that `mse_vjp` takes."""
+    if a.shape != np.shape(target):
+        raise DimensionError(f"mse: shape mismatch {a.shape} vs {np.shape(target)}")
+    d = a - target
+    return _seq_sum(d * d) / d.size, d
+
+
+def mse_vjp(g, d: np.ndarray) -> np.ndarray:
+    """The gradient of mse with respect to a for an output adjoint g: the sum
+    of the two equal contributions that reduce(mul(d, d), "mean")'s backward
+    would add."""
+    gd = (g / d.size) * d
+    return gd + gd
+
+
 def mse(a: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared difference from a plain-array target (never a gradient
     path), as one node. Bitwise equal to reduce(mul(d, d), "mean") with
-    d = a - target: that chain's backward sums two equal contributions."""
+    d = a - target."""
     if isinstance(target, Tensor):
         raise ContractError("mse: the target must be a plain array, got a Tensor")
-    if a.shape != np.shape(target):
-        raise DimensionError(f"mse: shape mismatch {a.shape} vs {np.shape(target)}")
-    d = a.data - target
-    n = d.size
-
-    def vjp(g):
-        gd = (g / n) * d
-        return (gd + gd,)
-
-    return _track(np.asarray(_seq_sum(d * d) / n), (a,), vjp)
+    value, d = mse_array(a.data, target)
+    return _track(np.asarray(value), (a,), lambda g: (mse_vjp(g, d),))
 
 
 def detach(a: Tensor) -> Tensor:

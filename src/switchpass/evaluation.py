@@ -50,12 +50,24 @@ class RoutingReport:
     macs_light_only: int  # per frame
 
 
+def _check_predictions(pred: np.ndarray, caller: str, frames: str) -> np.ndarray:
+    """pred, unless a switch prediction in it is not finite (from a diverged
+    switch): then ContractError naming the caller, the count and the frames."""
+    bad = pred.size - int(np.count_nonzero(np.isfinite(pred)))
+    if bad:
+        raise ContractError(f"{caller}: {bad} of {pred.size} switch predictions on "
+                            f"{frames} are not finite")
+    return pred
+
+
 def routing_stats(model: SwitchedAutoencoder, frames, tau: float) -> RoutingReport:
     """Routing of frames at tau by the mixed pass's rule,
-    `switch_predictions < tau`; only the prefix and switch run."""
+    `switch_predictions < tau`; only the prefix and switch run. A prediction
+    that is not finite raises ContractError."""
     if not frames:
         raise ContractError("routing_stats: empty dataset")
-    routes_light = model.switch_predictions(Tensor(dat.frames_to_matrix(frames))) < tau
+    pred = model.switch_predictions(Tensor(dat.frames_to_matrix(frames)))
+    routes_light = _check_predictions(pred, "routing_stats", "the frames") < tau
     return _routing_report(model, _tags(frames), routes_light, tau)
 
 
@@ -97,11 +109,13 @@ class ParityReport:
     mse_mixed: float
 
 
-def _outputs(model: SwitchedAutoencoder, frames, tau: float):
+def _outputs(model: SwitchedAutoencoder, frames, tau: float, caller: str, split: str):
     """The frames' input matrix, their full, light and mixed outputs from one
-    model.passes, and their switch predictions."""
+    model.passes, and their switch predictions, which must be finite
+    (_check_predictions, naming the caller and the split)."""
     x = dat.frames_to_matrix(frames)
     pred, light, full = model.passes(x)
+    _check_predictions(pred, caller, split)
     return x, {"full": full, "light": light,
                "mixed": np.where((pred < tau)[:, None], light, full)}, pred
 
@@ -114,8 +128,9 @@ def _parity(x: np.ndarray, outs: dict, rows=slice(None)) -> ParityReport:
 
 
 def quality_parity(model: SwitchedAutoencoder, frames, tau: float) -> ParityReport:
-    """Reconstruction MSE against the input under each routing strategy."""
-    x, outs, _ = _outputs(model, frames, tau)
+    """Reconstruction MSE against the input under each routing strategy. A
+    switch prediction that is not finite raises ContractError."""
+    x, outs, _ = _outputs(model, frames, tau, "quality_parity", "the frames")
     return _parity(x, outs)
 
 
@@ -281,14 +296,15 @@ def downstream_probe(model: SwitchedAutoencoder, dataset: dat.Dataset,
     the re-encoded output) and classifies easy vs hard from there. One probe
     per source, fit on the train split, scored on the test split.
     """
-    return _probe(model, dataset, tau, _outputs(model, dataset.test, tau)[1],
+    return _probe(model, dataset, tau,
+                  _outputs(model, dataset.test, tau, "downstream_probe", "the test split")[1],
                   _tags(dataset.test))
 
 
 def _probe(model: SwitchedAutoencoder, dataset: dat.Dataset, tau: float,
            test: dict, test_tags: np.ndarray) -> DownstreamReport:
     """downstream_probe, given the test split's outputs from _outputs and its tags."""
-    _, train, _ = _outputs(model, dataset.train, tau)
+    _, train, _ = _outputs(model, dataset.train, tau, "downstream_probe", "the train split")
     y_train, y_test = _labels(_tags(dataset.train)), _labels(test_tags)
     accs = {}
     for source in train:
@@ -304,11 +320,7 @@ def eval_reports(model: SwitchedAutoencoder, dataset: dat.Dataset, tau: float):
     The split must not be empty, and a switch prediction on it that is not
     finite (from a diverged switch) raises ContractError naming the count."""
     frames = dataset.test
-    x, outs, pred = _outputs(model, frames, tau)
-    bad = pred.size - int(np.count_nonzero(np.isfinite(pred)))
-    if bad:
-        raise ContractError(f"eval_reports: {bad} of {pred.size} switch predictions on the "
-                            f"test split are not finite")
+    x, outs, pred = _outputs(model, frames, tau, "eval_reports", "the test split")
     parity = {"overall": _parity(x, outs)}
     tags = _tags(frames)
     for tag in (dat.EASY, dat.HARD):

@@ -86,7 +86,8 @@ class LatentMask:
         return self._hard
 
     def apply(self, h: Tensor) -> Tensor:
-        """Soft-masked activation, tracked for training."""
+        """Soft-masked activation as a graph node (the gate's reference path;
+        training computes it on plain arrays in total_loss)."""
         if h.data.ndim != 2 or h.shape[1] != self.dim:
             raise DimensionError(f"mask: input shape {h.shape} does not match dim {self.dim}")
         return ag.mul(h, self.w)

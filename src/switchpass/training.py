@@ -3,9 +3,13 @@
 Gradient responsibilities are kept disjoint: reconstruction trains prefix,
 mask, and suffix; the imitation loss trains the light decoder only; the
 switch loss trains the switch only; the L1 penalty trains the mask weights
-only. The separation falls out of total_loss's stop-gradients (a detached
-latent and plain-array MSE targets), so one backward pass per batch covers
-everything. Adam keeps the parameters, grads and moments in flat buffers
+only. total_loss is one node, and its hand-written VJP enforces each of
+these: only the reconstruction adjoint is pushed back through the suffix,
+and through the mask's input into the prefix; the light decoder's and
+switch's backward passes stop at their input, and their targets (the full
+output and the pass gap) are constants; the L1 adjoint is added to the mask
+weights' gradient alone. One backward pass per batch covers everything.
+Adam keeps the parameters, grads and moments in flat buffers
 (AdamState); each parameter's `.data` and `.grad` are views into them, so a
 step zeroes every grad with one fill and updates every parameter in place.
 """
@@ -23,7 +27,7 @@ from . import autograd as ag
 from . import data as dat
 from . import nn, routing
 from .autograd import Tensor
-from .errors import ConfigError, FormatError, TrainingError
+from .errors import ConfigError, ContractError, FormatError, TrainingError
 from .model import SwitchedAutoencoder, check_placement, derive_seed, _SHUFFLE
 from .output import write_atomic, write_csv
 
@@ -175,36 +179,91 @@ def build_dataset(cfg: DataConfig) -> dat.Dataset:
     return dat.split(frames, cfg.ratios, cfg.spec.seed)
 
 
+def _forward(net: nn.Network, x: np.ndarray) -> list[tuple]:
+    """Runs x through net's layers with ag.dense_array and keeps, per layer,
+    its input, weights, output and activation: what ag.dense_vjp reads."""
+    layers = []
+    for layer in net.layers:
+        w = layer.weights.data
+        out = ag.dense_array(x, w, layer.bias.data, layer.activation)
+        layers.append((x, w, out, layer.activation))
+        x = out
+    return layers
+
+
+def _backprop(layers: list[tuple], g: np.ndarray, need_gx: bool):
+    """Pushes the adjoint g of the last layer's output back through layers
+    (from _forward), last first. Returns the adjoint of the first layer's
+    input (None unless need_gx) and the weights and bias gradients in layer
+    order."""
+    grads = []
+    for k in range(len(layers) - 1, -1, -1):
+        x, w, out, act = layers[k]
+        g, gw, gb = ag.dense_vjp(g, x, w, out, act, need_gx or k > 0)
+        grads += (gb, gw)
+    grads.reverse()
+    return g, grads
+
+
 def total_loss(x: Tensor, model: SwitchedAutoencoder):
-    """Composite loss and its term breakdown for one batch.
+    """Composite loss and its term breakdown for one batch, as one node whose
+    parents are the model's named parameters.
 
-    Reconstruction runs the full path through the train-mode mask; the light
-    decoder and switch see a detached copy of the masked activation, and
-    every MSE target is a plain array, so their losses cannot pull on the trunk.
+    The forward runs every network on plain arrays. The VJP is the backward
+    of the per-layer graph (dense layers, the mask's multiply, the switch's
+    softplus and reshape, the MSE, L1 and weighting nodes), written out with
+    the ops' own VJP helpers in that graph's order, so every gradient has
+    that graph's bits. The batch is never a gradient path: one that requires
+    grad raises ContractError.
     """
+    if x.requires_grad:
+        raise ContractError("total_loss: the batch must not require grad; "
+                            "the loss passes no gradient to it")
     cfg = model.cfg
-    h = model.masked_latent(x, "train")
-    full_out = model.suffix.forward(h)
-    l_recon = ag.mse(full_out, x.data)
+    alpha, beta = float(cfg.alpha), float(cfg.beta)
+    xd = x.data
+    prefix = _forward(model.prefix, xd)
+    pre = prefix[-1][2]
+    w_mask = model.mask.w.data
+    h = pre * w_mask  # the train-mode masked latent
+    suffix = _forward(model.suffix, h)
+    full = suffix[-1][2]
+    l_recon, d_recon = ag.mse_array(full, xd)
 
-    h_frozen = ag.detach(h)
-    d_out = model.light.forward(h_frozen)
-    l_lwd = ag.mse(d_out, full_out.data)
+    light = _forward(model.light, h)
+    d_out = light[-1][2]
+    l_lwd, d_lwd = ag.mse_array(d_out, full)
 
-    predicted = model.switch.predict(h_frozen)
-    l_switch = ag.mse(predicted, routing.pass_gap_array(d_out.data, full_out.data))
+    switch = _forward(model.switch.net, h)
+    z = switch[-1][2]
+    predicted = ag.softplus_array(z).reshape((h.shape[0],))
+    l_switch, d_switch = ag.mse_array(predicted, routing.pass_gap_array(d_out, full))
 
-    l_comp = routing.compression_loss(model.mask)
-    l_total = ag.add(l_recon, routing.block_loss(l_switch, l_lwd, l_comp, cfg))
+    l_comp = ag._seq_sum(np.abs(w_mask))
+    l_total = l_recon + ((l_switch * alpha + l_lwd * alpha) + l_comp * beta)
 
+    def vjp(g):
+        # Reconstruction alone reaches the suffix, the mask's input and so the prefix.
+        gh, suffix_grads = _backprop(suffix, ag.mse_vjp(g, d_recon), True)
+        _, prefix_grads = _backprop(prefix, gh * w_mask, False)
+        g_mask = (g * beta) * np.sign(w_mask) + (gh * pre).sum(axis=0)
+        # The light decoder and switch stop at their input, and their targets
+        # are constants, so imitation trains the light decoder only and the
+        # switch loss the switch only.
+        _, light_grads = _backprop(light, ag.mse_vjp(g * alpha, d_lwd), False)
+        g_pred = ag.mse_vjp(g * alpha, d_switch).reshape(z.shape)
+        _, switch_grads = _backprop(switch, g_pred * ag.sigmoid_array(z), False)
+        return (*prefix_grads, *suffix_grads, g_mask, *switch_grads, *light_grads)
+
+    loss = ag._track(np.asarray(l_total), [p for _, p in model.named_parameters()], vjp)
     breakdown = {
-        "l_recon": l_recon.item(),
-        "l_switch": l_switch.item(),
-        "l_lwd": l_lwd.item(),
-        "l_comp": l_comp.item(),
-        "l_total": l_total.item(),
+        "l_recon": float(l_recon),
+        "l_switch": float(l_switch),
+        "l_lwd": float(l_lwd),
+        "l_comp": float(l_comp),
+        "l_total": float(l_total),
     }
-    return l_total, breakdown
+    return loss, breakdown
 
 
 def switch_mae(model: SwitchedAutoencoder, x: np.ndarray) -> float:

@@ -1,8 +1,10 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
+from switchpass import config
 from switchpass import data as dat
 from switchpass import evaluation as ev
 from switchpass import routing, training
@@ -10,6 +12,7 @@ from switchpass.autograd import MacCounter, Tensor
 from switchpass.errors import ConfigError, ContractError
 from switchpass.model import SwitchedAutoencoder
 
+from test_cli import TINY_CONFIG
 from test_training import tiny_config
 
 
@@ -286,6 +289,37 @@ class TestOneInferencePerFrameSet:
         assert all(scopes.values())
         assert parity == {scope: ev.quality_parity(model, frames, tau)
                           for scope, frames in scopes.items()}
+
+
+@pytest.fixture(scope="module")
+def diverged_switch():
+    # TINY_CONFIG trained for 2 epochs, then its switch weights set to
+    # alternating +-1e300: every parameter is finite, but 25 of the 48 test
+    # frames' switch predictions overflow to +inf.
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["train"]["epochs"] = 2
+    result = training.train(config.parse_config(doc).train_cfg)
+    for layer in result.model.switch.net.layers:
+        w = layer.weights.data
+        layer.weights.data = np.resize([1e300, -1e300], w.size).reshape(w.shape)
+    return result.model, result.dataset
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("name, call, split", [pytest.param(*case, id=case[0]) for case in [
+    ("routing_stats", lambda model, ds: ev.routing_stats(model, ds.test, 0.5), "the frames"),
+    ("quality_parity", lambda model, ds: ev.quality_parity(model, ds.test, 0.5), "the frames"),
+    ("downstream_probe", lambda model, ds: ev.downstream_probe(model, ds, 0.5),
+     "the test split"),
+    ("eval_reports", lambda model, ds: ev.eval_reports(model, ds, 0.5), "the test split"),
+]])
+def test_diverged_switch_is_an_error(diverged_switch, name, call, split):
+    # A diverged switch is not an ordinary run: every library report that
+    # reads the switch's predictions names the count that are not finite.
+    model, ds = diverged_switch
+    with pytest.raises(ContractError, match=f"^{name}: 25 of 48 switch predictions on "
+                                            f"{split} are not finite$"):
+        call(model, ds)
 
 
 class TestReconstructionLoss:

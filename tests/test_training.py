@@ -13,7 +13,7 @@ from switchpass import autograd as ag
 from switchpass import data as dat
 from switchpass import nn, routing, training
 from switchpass.autograd import Tensor
-from switchpass.errors import ConfigError, FormatError, TrainingError
+from switchpass.errors import ConfigError, ContractError, FormatError, TrainingError
 from switchpass.model import _SHUFFLE, SwitchedAutoencoder, derive_seed
 
 
@@ -239,6 +239,104 @@ def reference_train_checkpoints(cfg):
     return checkpoints
 
 
+def reference_total_loss(x: Tensor, model: SwitchedAutoencoder):
+    """total_loss as a graph of per-layer nodes: the network forwards, the
+    mask's multiply, a detached latent, three MSE nodes, the L1 node and the
+    weighting nodes. Kept as the bitwise reference for the one-node loss."""
+    cfg = model.cfg
+    h = model.masked_latent(x, "train")
+    full_out = model.suffix.forward(h)
+    l_recon = ag.mse(full_out, x.data)
+    h_frozen = ag.detach(h)
+    d_out = model.light.forward(h_frozen)
+    l_lwd = ag.mse(d_out, full_out.data)
+    predicted = model.switch.predict(h_frozen)
+    l_switch = ag.mse(predicted, routing.pass_gap_array(d_out.data, full_out.data))
+    l_comp = routing.compression_loss(model.mask)
+    l_total = ag.add(l_recon, routing.block_loss(l_switch, l_lwd, l_comp, cfg))
+    terms = {"l_recon": l_recon, "l_switch": l_switch, "l_lwd": l_lwd, "l_comp": l_comp,
+             "l_total": l_total}
+    return l_total, {k: t.item() for k, t in terms.items()}
+
+
+TRUNK_ACTS = st.sampled_from(["tanh", "relu", "none"])
+
+
+class TestOneNodeLossMatchesTheGraph:
+    """training.total_loss against reference_total_loss, bit for bit: the
+    breakdown and every parameter's gradient, over placements, trunk
+    activations, alpha and beta (0 included) and batch heights."""
+
+    @staticmethod
+    def models(draw):
+        dims = draw(st.sampled_from([[16, 8, 12, 16], [16, 12, 6, 10, 16]]))
+        acts = draw(st.lists(TRUNK_ACTS, min_size=len(dims) - 1, max_size=len(dims) - 1))
+        dsl = routing.SwitchConfig(
+            placement=draw(st.integers(1, len(dims) - 2)), rho=0.5,
+            alpha=draw(st.sampled_from([0.0, 0.7, 1.0])),
+            beta=draw(st.sampled_from([0.0, 1e-3, 0.3])))
+        seed = draw(st.integers(0, 2**16))
+        pair = [SwitchedAutoencoder(dims, acts, dsl, seed) for _ in range(2)]
+        # Mask weights spread around 0, some exactly 0, so sign() takes every value.
+        w = np.random.default_rng(seed).uniform(-1.5, 1.5, pair[0].mask.dim)
+        w[::3] = 0.0
+        for model in pair:
+            model.mask.w.data = w.copy()
+        return pair, dims[0]
+
+    @staticmethod
+    def batch(draw, width):
+        rows = draw(st.sampled_from([1, 7, 32]))
+        seed = draw(st.integers(0, 2**16))
+        return Tensor(np.random.default_rng(seed).uniform(-1, 1, (rows, width)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_grads_from_none(self, data):
+        # zero_grad, as criterion 1 and the bitwise oracle leave the grads.
+        (model, ref), width = self.models(data.draw)
+        x = self.batch(data.draw, width)
+        loss, breakdown = training.total_loss(x, model)
+        ref_loss, ref_breakdown = reference_total_loss(x, ref)
+        assert breakdown == ref_breakdown
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        ag.backward(loss)
+        ag.backward(ref_loss)
+        for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_grads_accumulated_into_adam_views(self, data):
+        # The training loop's path: one fill zeroes every view, and several
+        # backward calls in one step add into them.
+        (model, ref), width = self.models(data.draw)
+        named, ref_named = model.named_parameters(), ref.named_parameters()
+        state, ref_state = training.AdamState(named), training.AdamState(ref_named)
+        for calls in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+            state.grads.fill(0.0)
+            ref_state.grads.fill(0.0)
+            for _ in range(calls):
+                x = self.batch(data.draw, width)
+                ag.backward(training.total_loss(x, model)[0])
+                ag.backward(reference_total_loss(x, ref)[0])
+            assert state.grads.tobytes() == ref_state.grads.tobytes()
+            training.adam_step(named, state)
+            training.adam_step(ref_named, ref_state)
+            assert state.params.tobytes() == ref_state.params.tobytes()
+
+    def test_zero_weights_leave_switch_and_light_untouched(self):
+        # With alpha = beta = 0 the switch and imitation losses add exact
+        # zeros, so Adam never moves the switch or light decoder.
+        cfg = tiny_config(epochs=2)
+        cfg.dsl = routing.SwitchConfig(placement=1, rho=0.5, alpha=0.0, beta=0.0)
+        result = training.train(cfg)
+        first, last = result.checkpoints[0].params, result.checkpoints[-1].params
+        for name in first:
+            moved = first[name].tobytes() != last[name].tobytes()
+            assert moved != name.startswith(("switch.", "light.")), name
+
+
 class TestTotalLoss:
     def test_zero_weights_reduce_to_reconstruction(self):
         cfg = tiny_config()
@@ -398,9 +496,9 @@ class TestTrainLoop:
         assert ([training.checkpoint_json(c) for c in result.checkpoints]
                 == [training.checkpoint_json(c) for c in reference_train_checkpoints(cfg)])
 
-    def test_default_step_creates_25_tensors(self, monkeypatch):
-        # The batch Tensor and the graph of one default-config step on 32
-        # rows, counted by node ids between the ends of consecutive steps.
+    def test_default_step_creates_2_tensors(self, monkeypatch):
+        # The batch Tensor and the one loss node of a default-config step on
+        # 32 rows, counted by node ids between the ends of consecutive steps.
         marks = []
         step = training.adam_step
 
@@ -412,7 +510,16 @@ class TestTrainLoop:
         cfg = training.TrainConfig(epochs=1)
         cfg.data = training.DataConfig(n_easy=80, n_hard=57)  # 96 train rows
         training.train(cfg)
-        assert [b - a - 1 for a, b in zip(marks, marks[1:])] == [25, 25]
+        assert [b - a - 1 for a, b in zip(marks, marks[1:])] == [2, 2]
+
+    def test_batch_that_requires_grad_is_an_error(self):
+        # The loss node passes no gradient to the batch, so a batch that asks
+        # for one is refused rather than left without it.
+        cfg = tiny_config()
+        model = SwitchedAutoencoder(cfg.dims, cfg.activations, cfg.dsl, cfg.seed)
+        x = Tensor(np.zeros((4, 16)), requires_grad=True)
+        with pytest.raises(ContractError, match="total_loss: the batch must not require grad"):
+            training.total_loss(x, model)
 
     def test_checkpoint_cadence_includes_initial_and_final(self):
         cfg = tiny_config(epochs=10)
