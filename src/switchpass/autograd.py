@@ -302,33 +302,42 @@ def detach(a: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulates d(loss)/d(leaf) into `.grad` of every tracked leaf.
 
-    One heap walk in decreasing node_id, each tracked node entering at its
-    first adjoint; a transient adjoint table makes repeated calls (without
-    zeroing) add their contributions instead of compounding them. A leaf's
-    adjoint is added into its existing `.grad` in place (a view into
-    AdamState's flat grads in training), or copied when `.grad` is None.
+    One heap walk in decreasing node_id over the nodes that have a VJP, each
+    entering at its first adjoint; a transient adjoint table makes repeated
+    calls (without zeroing) add their contributions instead of compounding
+    them. A leaf (a tracked node with no VJP) never enters the heap: it is
+    recorded at its first adjoint, and after the walk each leaf's adjoint is
+    added into its `.grad`, in decreasing node_id. Ids are topological, so a
+    leaf's adjoint is complete by then and every sum keeps the order a walk
+    that popped the leaves would give it. The add is in place into an
+    existing `.grad` (a view into AdamState's flat grads in training), or a
+    copy when `.grad` is None.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     adjoint = {loss.node_id: np.ones_like(loss.data)}
-    heap = [(-loss.node_id, loss)]
+    heap = [] if loss._vjp is None else [(-loss.node_id, loss)]
+    leaves = [loss] if loss._vjp is None else []
     while heap:
         _, node = heapq.heappop(heap)
         g = adjoint.pop(node.node_id)
-        if node._vjp is None:
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad += g
-            continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad:
                 continue
             key = parent.node_id
             if key in adjoint:
                 adjoint[key] = adjoint[key] + pg
+                continue
+            adjoint[key] = pg
+            if parent._vjp is None:
+                leaves.append(parent)
             else:
-                adjoint[key] = pg
                 heapq.heappush(heap, (-key, parent))
+    for leaf in sorted(leaves, key=lambda t: t.node_id, reverse=True):
+        g = adjoint[leaf.node_id]
+        if leaf.grad is None:
+            leaf.grad = g.copy()
+        else:
+            leaf.grad += g

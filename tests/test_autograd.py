@@ -354,6 +354,14 @@ class TestBackward:
         ag.backward(loss)
         assert loss.grad is None
 
+    def test_leaf_loss_gets_its_own_gradient(self):
+        # A loss that is itself a leaf never enters the walk's heap.
+        loss = Tensor(2.5, requires_grad=True)
+        ag.backward(loss)
+        assert loss.grad.tobytes() == np.float64(1.0).tobytes()
+        ag.backward(loss)
+        assert loss.grad.tobytes() == np.float64(2.0).tobytes()
+
     def test_three_layer_composite_matches_finite_difference(self):
         # w1 x -> tanh -> w2 -> relu -> w3 -> squared length
         x = Tensor(RNG.uniform(-2, 2, (4, 5)))
