@@ -1,12 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Every arithmetic primitive here is bitwise deterministic. Matrix products go
-through `_mm`, which makes one identical BLAS call per row of its left
-operand, so row i of a product never depends on the other rows: every forward
-is row and batch invariant, and a weight-gradient reduction over the batch is
+through `_mm`, which runs one gemm per fixed block of ROW_BLOCK (2) rows of
+its left operand. On the BLAS build in use a row's bits depend only on that
+row and the right operand, not on the other row of its block nor on where it
+sits (tools/row_block_check.py checks this), so every forward is row and
+batch invariant, and a weight-gradient reduction over the batch is
 deterministic for a fixed batch shape. Reductions accumulate left to right.
-One BLAS call for the whole batch (gemm) would reorder the accumulation with
-the operand sizes and break this. The bits themselves are those of the
+One gemm over the whole batch would reorder the accumulation with the
+operand sizes and break this. The bits themselves are those of the
 numpy/BLAS build in use.
 """
 
@@ -24,9 +26,14 @@ _node_ids = itertools.count()
 # Active MAC counter, if any. Single-threaded by contract.
 _mac_counter = None
 
+#: Height of the row blocks every matrix product is computed in (see _mm).
+ROW_BLOCK = 2
+
 
 class MacCounter:
-    """Counts multiply-accumulates of every matmul executed inside a `with` block."""
+    """Counts the multiply-accumulates of every matmul, dense node and
+    network pass run inside a `with` block, for real rows only: the rows a
+    pass or `_mm` pads are not counted."""
 
     def __init__(self):
         self.total = 0
@@ -44,18 +51,29 @@ class MacCounter:
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # One identical (1, k) x (k, n) BLAS call per row of x, so row i's bits
-    # depend only on x[i] and y. They also depend on y's memory layout (a
+    # x @ y as one gemm per fixed block of ROW_BLOCK rows of x. A height that
+    # is not a multiple of ROW_BLOCK is zero-padded, and an x that is not
+    # C-contiguous (the x.T of a weight gradient) is copied, so every block
+    # reaches BLAS in one layout. On the BLAS build in use a row's bits then
+    # depend only on that row and y, not on the other row of its block nor on
+    # where it sits (tools/row_block_check.py checks it), so every product is
+    # row and batch invariant. They also depend on y's memory layout (a
     # transposed view and a contiguous copy differ), so every call site keeps
-    # the layout it passes. A one-row x is `x.dot(y)`, the same single BLAS
-    # call without matmul's dispatch, when two conditions keep its bits: k > 1
-    # (at k = 1 dot multiplies one term and keeps a -0.0 that BLAS, summing
-    # from +0.0, makes +0.0) and y C- or F-contiguous (otherwise dot may copy
-    # y and call BLAS where matmul runs numpy's own loop). The only matrix
-    # product in the package.
-    if x.shape[0] == 1 and x.shape[1] > 1 and (y.flags.c_contiguous or y.flags.f_contiguous):
+    # the layout it passes. A single block is `x.dot(y)`, the same gemm
+    # without matmul's dispatch, when y is C- or F-contiguous (otherwise dot
+    # may copy y and call BLAS where matmul runs numpy's own loop). The only
+    # matrix product in the package. The height is never chosen by batch
+    # size: a row's bits would then depend on its batch.
+    m, k = x.shape
+    if m == ROW_BLOCK and x.flags.c_contiguous and y.flags.forc:
         return x.dot(y)
-    return np.matmul(x[:, None, :], y)[:, 0, :]
+    pad = -m % ROW_BLOCK
+    if pad or not x.flags.c_contiguous:
+        blocks = np.zeros((m + pad, k))
+        blocks[:m] = x
+        x = blocks
+    out = np.matmul(x.reshape(-1, ROW_BLOCK, k), y).reshape(-1, y.shape[1])
+    return out[:m] if pad else out
 
 
 def _seq_sum(x: np.ndarray) -> np.float64:
@@ -207,17 +225,16 @@ def softplus(a: Tensor) -> Tensor:
 
 def dense_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str = "none") -> np.ndarray:
     """act(x @ w + b) on plain arrays, for x (m, k), w (k, n) and b (n,):
-    the value of `dense`, and the inference kernel. Counts m*k*n MACs.
+    the value of `dense`, and the inference kernel. Counts no MACs: a network
+    pass counts its real rows (nn.count_macs), not the rows it pads.
 
-    w is C-contiguous (in, out), so each row's BLAS call reads it in order.
+    w is C-contiguous (in, out), so each block's gemm reads it in order.
     The bias add and activation overwrite the product, bitwise equal to
     act(_mm(x, w) + b) with no temporaries."""
     if act not in _ACT:
         raise ContractError(f"dense: unknown activation {act!r}")
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape}, {b.shape}")
-    if _mac_counter is not None:
-        _mac_counter.total += x.size * w.shape[1]
     f = _ACT[act][0]
     z = _mm(x, w)
     z += b
@@ -240,10 +257,12 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
 
     It runs the kernels of the matmul, bias-add and activation ops in their
     order, and its VJP returns the arrays that chain of ops would, so values
-    and gradients are bitwise equal to it.
+    and gradients are bitwise equal to it. Counts m*k*n MACs.
     """
     xd, wd = x.data, w.data
     out = dense_array(xd, wd, b.data, act)
+    if _mac_counter is not None:
+        _mac_counter.total += xd.size * wd.shape[1]
     return _track(out, (x, w, b), lambda g: dense_vjp(g, xd, wd, out, act, x.requires_grad))
 
 

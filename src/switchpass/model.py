@@ -69,10 +69,12 @@ class SwitchedAutoencoder:
         return self.mask.apply(self.prefix.forward(x))
 
     def full_output(self, x: Tensor) -> Tensor:
-        return Tensor(self.suffix.infer(self.infer_latent(x.data)))
+        h, n = routing.padded_latent(self.prefix, self.mask, x.data)
+        return Tensor(self.suffix.infer_padded(h, n)[:n])
 
     def light_output(self, x: Tensor) -> Tensor:
-        return Tensor(self.light.infer(self.infer_latent(x.data)))
+        h, n = routing.padded_latent(self.prefix, self.mask, x.data)
+        return Tensor(self.light.infer_padded(h, n)[:n])
 
     def mixed_output(self, x: Tensor, tau: float):
         return routing.mixed_forward(
@@ -80,14 +82,16 @@ class SwitchedAutoencoder:
         )
 
     def switch_predictions(self, x: Tensor) -> np.ndarray:
-        return self.switch.infer(self.infer_latent(x.data))
+        h, n = routing.padded_latent(self.prefix, self.mask, x.data)
+        return self.switch.infer_padded(h, n)[:n]
 
     def passes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Switch predictions, light and full outputs of x from one latent. By
         row invariance, light's rows where the prediction is below tau and full's
         rows elsewhere are bitwise mixed_output(Tensor(x), tau)'s output."""
-        h = self.infer_latent(x)
-        return self.switch.infer(h), self.light.infer(h), self.suffix.infer(h)
+        h, n = routing.padded_latent(self.prefix, self.mask, x)
+        return (self.switch.infer_padded(h, n)[:n], self.light.infer_padded(h, n)[:n],
+                self.suffix.infer_padded(h, n)[:n])
 
     # Per-sample MAC cost of each strategy, by the in*out counting rule.
     def macs_prefix(self) -> int:

@@ -51,7 +51,16 @@ class Network:
         return x
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """forward's values on plain arrays, bit for bit, with no graph."""
+        """forward's values on plain arrays, bit for bit, with no graph: n rows
+        in, n rows out. An odd batch is padded once (pad_rows), not at every
+        layer."""
+        n = x.shape[0]
+        return self.infer_padded(pad_rows(x), n)[:n]
+
+    def infer_padded(self, x: np.ndarray, n: int) -> np.ndarray:
+        """infer's layers on a batch from pad_rows whose first n rows are
+        real. Returns every row; MACs are counted for the n real rows only."""
+        count_macs(self, n)
         for layer in self.layers:
             x = ag.dense_array(x, layer.weights.data, layer.bias.data, layer.activation)
         return x
@@ -65,6 +74,25 @@ class Network:
             Network(self.layers[:i], self.input_dim),
             Network(self.layers[i:], suffix_in),
         )
+
+
+def pad_rows(a: np.ndarray) -> np.ndarray:
+    """a with its last row repeated up to a multiple of ag.ROW_BLOCK rows, so
+    the kernel pads no layer of a pass again. A repeated real row is the
+    cheapest fill, and by row invariance it moves no other row's bits. An
+    even height (or an empty batch) is returned as it is."""
+    n = a.shape[0]
+    extra = -n % ag.ROW_BLOCK
+    if not extra:
+        return a
+    return a.repeat(ag.ROW_BLOCK, axis=0) if n == 1 else np.concatenate([a] + [a[-1:]] * extra)
+
+
+def count_macs(net: Network, rows: int) -> None:
+    """Adds rows passes of net (rows * mac_count(net)) to the active
+    ag.MacCounter, if any."""
+    if ag._mac_counter is not None:
+        ag._mac_counter.total += rows * mac_count(net)
 
 
 def param_count(net: Network) -> int:

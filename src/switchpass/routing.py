@@ -118,22 +118,37 @@ class Switch:
         return ag.reshape(out, (h.shape[0],))
 
     def infer(self, h: np.ndarray) -> np.ndarray:
-        return ag.softplus_array(self.net.infer(h))[:, 0]
+        n = h.shape[0]
+        return self.infer_padded(nn.pad_rows(h), n)[:n]
+
+    def infer_padded(self, h: np.ndarray, n: int) -> np.ndarray:
+        """infer on a latent from padded_latent whose first n rows are real
+        (see nn.Network.infer_padded)."""
+        return ag.softplus_array(self.net.infer_padded(h, n))[:, 0]
 
 
-def infer_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> np.ndarray:
-    """Hard-masked activation at the block, on plain arrays; every inference
-    pass starts here. A NaN row would route full (NaN < tau is false). The
-    prefix has at least one layer, so its output is a fresh array and the
-    mask multiplies it in place."""
+def padded_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Hard-masked activation at the block, on plain arrays, for x padded
+    once by nn.pad_rows, and x's row count n: every inference pass starts
+    here, runs its networks on the padded rows and returns the first n. x is
+    checked before it is padded. A NaN row would route full (NaN < tau is
+    false). The prefix has at least one layer, so its output is a fresh array
+    and the mask multiplies it in place."""
     if x.ndim != 2 or x.shape[1] != prefix.input_dim:
         raise DimensionError(f"inference: input shape {x.shape}, want (n, {prefix.input_dim})")
     if not np.isfinite(x).all():
         row = int(np.argmin(np.isfinite(x).all(axis=1)))
         raise ContractError(f"inference: input row {row} is not finite")
-    h = prefix.infer(x)
+    n = x.shape[0]
+    h = prefix.infer_padded(nn.pad_rows(x), n)
     h *= mask.hard_weights()
-    return h
+    return h, n
+
+
+def infer_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> np.ndarray:
+    """padded_latent's real rows: n rows in, n rows out."""
+    h, n = padded_latent(prefix, mask, x)
+    return h[:n]
 
 
 def build_switch(dim: int, seed: int) -> Switch:
@@ -148,9 +163,9 @@ def build_light_decoder(suffix: nn.Network, rho: float, seed: int) -> nn.Network
     suffix's first and last activations. A one-layer suffix gives one layer
     [in, out].
 
-    Under the per-row kernel a pass costs about one BLAS call per row and
-    layer, whatever its width, so depth, not width, sets the light route's
-    time."""
+    At batch 1 a pass costs one 2-row gemm and a fixed per-call overhead per
+    layer, about the same whatever its width at these sizes, so depth, not
+    width, sets the light route's time."""
     if not suffix.layers:
         raise ConfigError("light decoder: suffix has no layers to imitate")
     if not 0.0 < rho < 1.0:
@@ -238,19 +253,21 @@ def mixed_forward(
     Computes the hard-masked activation once, routes light the rows whose
     switch prediction is strictly below tau (`switch.infer(h) < tau`), and
     runs the lightweight decoder on those rows and the full suffix on the
-    rest, on plain arrays. Ties and NaN go full, the safe direction. A batch
-    whose rows all route one way runs that decoder on the whole latent with
-    no gather or scatter; row invariance makes its bits those of the general
-    path.
+    rest, on plain arrays. Ties and NaN go full, the safe direction. The
+    batch is padded once (padded_latent) and each routed subset is gathered
+    to an even row count (nn.pad_rows on its row indices), so no layer pads
+    again. A batch whose rows all route one way runs that decoder on the
+    whole latent with no gather or scatter; row invariance makes its bits
+    those of the general path.
     """
-    h = infer_latent(prefix, mask, x.data)
-    light = switch.infer(h) < tau
-    n, n_light = h.shape[0], int(np.count_nonzero(light))
+    h, n = padded_latent(prefix, mask, x.data)
+    light = switch.infer_padded(h, n)[:n] < tau
+    n_light = int(np.count_nonzero(light))
     if n_light == n:
-        return Tensor(lwd.infer(h)), [LIGHT_ROUTE] * n
+        return Tensor(lwd.infer_padded(h, n)[:n]), [LIGHT_ROUTE] * n
     if n_light == 0:
-        return Tensor(suffix.infer(h)), [FULL_ROUTE] * n
+        return Tensor(suffix.infer_padded(h, n)[:n]), [FULL_ROUTE] * n
     out = np.empty((n, suffix.output_dim))
     for net, rows in ((lwd, np.flatnonzero(light)), (suffix, np.flatnonzero(~light))):
-        out[rows] = net.infer(h.take(rows, axis=0))
+        out[rows] = net.infer_padded(h.take(nn.pad_rows(rows), axis=0), rows.size)[:rows.size]
     return Tensor(out), [LIGHT_ROUTE if is_light else FULL_ROUTE for is_light in light.tolist()]

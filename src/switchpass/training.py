@@ -182,6 +182,7 @@ def build_dataset(cfg: DataConfig) -> dat.Dataset:
 def _forward(net: nn.Network, x: np.ndarray) -> list[tuple]:
     """Runs x through net's layers with ag.dense_array and keeps, per layer,
     its input, weights, output and activation: what ag.dense_vjp reads."""
+    nn.count_macs(net, x.shape[0])
     layers = []
     for layer in net.layers:
         w = layer.weights.data

@@ -1,6 +1,8 @@
 import ast
+import importlib.util
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from switchpass.autograd import MacCounter, Tensor
 from switchpass.errors import ContractError, DimensionError
 
 RNG = np.random.default_rng(20240817)
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -270,13 +273,16 @@ class TestRowInvariance:
 @pytest.mark.parametrize("left", ["row", "misaligned-row", "column-view"])
 @pytest.mark.parametrize("zeros", [False, True], ids=["uniform", "signed-zeros"])
 def test_one_row_product_equals_row_0_of_a_two_row_product(k, n, right, left, zeros):
-    # A one-row _mm is `x.dot(y)` for k > 1 and a C- or F-contiguous y, and a
-    # two-row one the per-row product. A strided y (no unit stride) and a
-    # column view of a wider y (unit stride, not contiguous; dot differs at
-    # n = 2 and 3) must keep the per-row product, and so must k = 1, where a
-    # -0.0 term shows the difference: the signed-zero draw makes about half
-    # of each operand +-0.0. A column-view row is the left operand of the
-    # weight gradient of a one-input layer.
+    # A one-row _mm is zero-padded to one 2-row block, and a two-row one is
+    # that block with a real second row. A block is `x.dot(y)` when y is C-
+    # or F-contiguous, and a blocked matmul otherwise: a strided y (no unit
+    # stride) or a column view of a wider y (unit stride, not contiguous),
+    # where matmul may run numpy's own loop instead of BLAS. The signed-zero
+    # draw makes about half of each operand +-0.0, which shows a kernel that
+    # keeps a -0.0 where BLAS, summing from +0.0, makes +0.0 (at k = 1 a
+    # one-row `dot` does). A column-view row is the left operand of the
+    # weight gradient of a one-input layer. tools/row_block_check.py sweeps
+    # every block position (test_row_block_check below runs a slice).
     rng = np.random.default_rng(1000 * k + n)
 
     def draw(shape):
@@ -659,9 +665,34 @@ def test_determinism_bitwise():
     assert np.array_equal(wa, wb)
 
 
+def load_row_block_check(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends to it
+    spec = importlib.util.spec_from_file_location("row_block_check",
+                                                  TOOLS / "row_block_check.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_row_block_check(monkeypatch):
+    # A slice of tools/row_block_check.py's sweep, on other draws than its
+    # own: every k and n up to 48 and 40 larger shapes, both weight layouts.
+    tool = load_row_block_check(monkeypatch)
+    assert tool.sweep(small=48, larger=40, seed=1) == []
+
+
+def test_row_block_check_reports_a_row_that_depends_on_its_position(monkeypatch):
+    tool = load_row_block_check(monkeypatch)
+    monkeypatch.setattr(ag, "_mm", lambda x, y: x @ y + np.arange(x.shape[0])[:, None])
+    failed = tool.sweep(small=2, larger=1)
+    assert len(failed) == 2 * (2 * 2 + 1)
+    assert failed[:2] == ["1 x 1 contiguous", "1 x 1 transposed-view signed-zeros"]
+
+
 def test_mm_is_the_only_matrix_product_in_src():
-    # Any other product (a gemm through `@`, dot or einsum) would silently
-    # break the row invariance that the mixed pass relies on.
+    # Any other product (a gemm through `@` over the whole batch, dot or
+    # einsum) would silently break the row invariance that the mixed pass
+    # relies on; `_mm` keeps it with gemm over fixed 2-row blocks.
     src = pathlib.Path(ag.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):

@@ -574,6 +574,40 @@ class TestMixedOutputProperties:
             tracked = model.switch.predict(Tensor(x)).data
             assert model.switch.infer(x).tobytes() == tracked.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_macs_count_real_rows_only(self, n):
+        # A pass pads an odd batch, and the mixed pass each odd routed subset,
+        # to whole 2-row blocks; MacCounter counts the n real rows only.
+        model = self.MODEL
+        x = Tensor(self.POOL[:n])
+        h = model.infer_latent(x.data)
+        prefix, switch = model.macs_prefix(), model.macs_switch()
+        light, suffix = model.macs_light(), model.macs_suffix()
+        expected = {
+            "full": (lambda: model.full_output(x), prefix + suffix),
+            "light": (lambda: model.light_output(x), prefix + light),
+            "switch": (lambda: model.switch_predictions(x), prefix + switch),
+            "passes": (lambda: model.passes(x.data), prefix + switch + light + suffix),
+            "latent": (lambda: model.infer_latent(x.data), prefix),
+            "prefix.infer": (lambda: model.prefix.infer(x.data), prefix),
+            "suffix.infer": (lambda: model.suffix.infer(h), suffix),
+            "light.infer": (lambda: model.light.infer(h), light),
+            "switch.infer": (lambda: model.switch.infer(h), switch),
+        }
+        for name, (run, per_row) in expected.items():
+            with MacCounter() as counter:
+                run()
+            assert counter.total == n * per_row, name
+        # Every split of the batch into j light and n - j full rows, j = 0..n.
+        preds = np.sort(model.switch_predictions(x))
+        assert np.unique(preds).size == n
+        taus = [-np.inf, *((preds[1:] + preds[:-1]) / 2), np.inf]
+        for j, tau in enumerate(taus):
+            with MacCounter() as counter:
+                _, decisions = model.mixed_output(x, float(tau))
+            assert sum(d.kind == routing.LIGHT for d in decisions) == j
+            assert counter.total == n * (prefix + switch) + j * light + (n - j) * suffix, j
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 64))
     def test_inference_outputs_build_no_graph(self, n):
