@@ -79,8 +79,10 @@ class Network:
 def pad_rows(a: np.ndarray) -> np.ndarray:
     """a with its last row repeated up to a multiple of ag.ROW_BLOCK rows, so
     the kernel pads no layer of a pass again. A repeated real row is the
-    cheapest fill, and by row invariance it moves no other row's bits. An
-    even height (or an empty batch) is returned as it is."""
+    cheapest fill, and by row invariance it moves no other row's bits; a
+    single row is copied by `repeat`, which costs less than a concatenate at
+    batch 1. A height already a multiple (or an empty batch) is returned as
+    it is."""
     n = a.shape[0]
     extra = -n % ag.ROW_BLOCK
     if not extra:
