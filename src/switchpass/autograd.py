@@ -31,9 +31,9 @@ ROW_BLOCK = 2
 
 
 class MacCounter:
-    """Counts the multiply-accumulates of every matmul, dense node and
-    network pass run inside a `with` block, for real rows only: the rows a
-    pass or `_mm` pads are not counted."""
+    """Counts the multiply-accumulates of every matmul and network pass run
+    inside a `with` block, for real rows only: the rows a pass or `_mm` pads
+    are not counted."""
 
     def __init__(self):
         self.total = 0
@@ -257,12 +257,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
 
     It runs the kernels of the matmul, bias-add and activation ops in their
     order, and its VJP returns the arrays that chain of ops would, so values
-    and gradients are bitwise equal to it. Counts m*k*n MACs.
+    and gradients are bitwise equal to it. Counts no MACs: the network pass
+    that runs it does (nn.count_macs).
     """
     xd, wd = x.data, w.data
     out = dense_array(xd, wd, b.data, act)
-    if _mac_counter is not None:
-        _mac_counter.total += xd.size * wd.shape[1]
     return _track(out, (x, w, b), lambda g: dense_vjp(g, xd, wd, out, act, x.requires_grad))
 
 

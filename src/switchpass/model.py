@@ -60,7 +60,8 @@ class SwitchedAutoencoder:
         return params
 
     def infer_latent(self, x: np.ndarray) -> np.ndarray:
-        return routing.infer_latent(self.prefix, self.mask, x)
+        h, n = routing.padded_latent(self.prefix, self.mask, x)
+        return h[:n]
 
     def masked_latent(self, x: Tensor, mode: str) -> Tensor:
         """The train-mode masked latent; mode, always "train", is kept for the acceptance gate."""
@@ -70,11 +71,11 @@ class SwitchedAutoencoder:
 
     def full_output(self, x: Tensor) -> Tensor:
         h, n = routing.padded_latent(self.prefix, self.mask, x.data)
-        return Tensor(self.suffix.infer_padded(h, n)[:n])
+        return Tensor(self.suffix.infer(h, n)[:n])
 
     def light_output(self, x: Tensor) -> Tensor:
         h, n = routing.padded_latent(self.prefix, self.mask, x.data)
-        return Tensor(self.light.infer_padded(h, n)[:n])
+        return Tensor(self.light.infer(h, n)[:n])
 
     def mixed_output(self, x: Tensor, tau: float):
         return routing.mixed_forward(
@@ -83,15 +84,15 @@ class SwitchedAutoencoder:
 
     def switch_predictions(self, x: Tensor) -> np.ndarray:
         h, n = routing.padded_latent(self.prefix, self.mask, x.data)
-        return self.switch.infer_padded(h, n)[:n]
+        return self.switch.infer(h, n)[:n]
 
     def passes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Switch predictions, light and full outputs of x from one latent. By
         row invariance, light's rows where the prediction is below tau and full's
         rows elsewhere are bitwise mixed_output(Tensor(x), tau)'s output."""
         h, n = routing.padded_latent(self.prefix, self.mask, x)
-        return (self.switch.infer_padded(h, n)[:n], self.light.infer_padded(h, n)[:n],
-                self.suffix.infer_padded(h, n)[:n])
+        return (self.switch.infer(h, n)[:n], self.light.infer(h, n)[:n],
+                self.suffix.infer(h, n)[:n])
 
     # Per-sample MAC cost of each strategy, by the in*out counting rule.
     def macs_prefix(self) -> int:

@@ -46,20 +46,16 @@ class Network:
             raise DimensionError(
                 f"forward: input shape {x.shape} does not match input_dim {self.input_dim}"
             )
+        count_macs(self, x.shape[0])
         for layer in self.layers:
             x = ag.dense(x, layer.weights, layer.bias, layer.activation)
         return x
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """forward's values on plain arrays, bit for bit, with no graph: n rows
-        in, n rows out. An odd batch is padded once (pad_rows), not at every
-        layer."""
-        n = x.shape[0]
-        return self.infer_padded(pad_rows(x), n)[:n]
-
-    def infer_padded(self, x: np.ndarray, n: int) -> np.ndarray:
-        """infer's layers on a batch from pad_rows whose first n rows are
-        real. Returns every row; MACs are counted for the n real rows only."""
+    def infer(self, x: np.ndarray, n: int) -> np.ndarray:
+        """forward's values on plain arrays, bit for bit, with no graph, for a
+        batch whose first n rows are real (the rest pad it to whole row
+        blocks). Returns every row; MACs are counted for the n real rows
+        only."""
         count_macs(self, n)
         for layer in self.layers:
             x = ag.dense_array(x, layer.weights.data, layer.bias.data, layer.activation)
@@ -74,20 +70,6 @@ class Network:
             Network(self.layers[:i], self.input_dim),
             Network(self.layers[i:], suffix_in),
         )
-
-
-def pad_rows(a: np.ndarray) -> np.ndarray:
-    """a with its last row repeated up to a multiple of ag.ROW_BLOCK rows, so
-    the kernel pads no layer of a pass again. A repeated real row is the
-    cheapest fill, and by row invariance it moves no other row's bits; a
-    single row is copied by `repeat`, which costs less than a concatenate at
-    batch 1. A height already a multiple (or an empty batch) is returned as
-    it is."""
-    n = a.shape[0]
-    extra = -n % ag.ROW_BLOCK
-    if not extra:
-        return a
-    return a.repeat(ag.ROW_BLOCK, axis=0) if n == 1 else np.concatenate([a] + [a[-1:]] * extra)
 
 
 def count_macs(net: Network, rows: int) -> None:

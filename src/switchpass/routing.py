@@ -117,19 +117,29 @@ class Switch:
         out = ag.softplus(self.net.forward(h))
         return ag.reshape(out, (h.shape[0],))
 
-    def infer(self, h: np.ndarray) -> np.ndarray:
-        n = h.shape[0]
-        return self.infer_padded(nn.pad_rows(h), n)[:n]
+    def infer(self, h: np.ndarray, n: int) -> np.ndarray:
+        """predict's values on a latent whose first n rows are real (see
+        nn.Network.infer), one per row."""
+        return ag.softplus_array(self.net.infer(h, n))[:, 0]
 
-    def infer_padded(self, h: np.ndarray, n: int) -> np.ndarray:
-        """infer on a latent from padded_latent whose first n rows are real
-        (see nn.Network.infer_padded)."""
-        return ag.softplus_array(self.net.infer_padded(h, n))[:, 0]
+
+def pad_rows(a: np.ndarray) -> np.ndarray:
+    """a with its last row repeated up to a multiple of ag.ROW_BLOCK rows, so
+    the kernel pads no layer of a pass again. A repeated real row is the
+    cheapest fill, and by row invariance it moves no other row's bits; a
+    single row is copied by `repeat`, which costs less than a concatenate at
+    batch 1. A height already a multiple (or an empty batch) is returned as
+    it is."""
+    n = a.shape[0]
+    extra = -n % ag.ROW_BLOCK
+    if not extra:
+        return a
+    return a.repeat(ag.ROW_BLOCK, axis=0) if n == 1 else np.concatenate([a] + [a[-1:]] * extra)
 
 
 def padded_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Hard-masked activation at the block, on plain arrays, for x padded
-    once by nn.pad_rows, and x's row count n: every inference pass starts
+    once by pad_rows, and x's row count n: every inference pass starts
     here, runs its networks on the padded rows and returns the first n. x is
     checked before it is padded. A NaN row would route full (NaN < tau is
     false). The prefix has at least one layer, so its output is a fresh array
@@ -140,15 +150,9 @@ def padded_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> tuple[
         row = int(np.argmin(np.isfinite(x).all(axis=1)))
         raise ContractError(f"inference: input row {row} is not finite")
     n = x.shape[0]
-    h = prefix.infer_padded(nn.pad_rows(x), n)
+    h = prefix.infer(pad_rows(x), n)
     h *= mask.hard_weights()
     return h, n
-
-
-def infer_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> np.ndarray:
-    """padded_latent's real rows: n rows in, n rows out."""
-    h, n = padded_latent(prefix, mask, x)
-    return h[:n]
 
 
 def build_switch(dim: int, seed: int) -> Switch:
@@ -251,23 +255,23 @@ def mixed_forward(
     """Routes each sample of the batch through exactly one decoder.
 
     Computes the hard-masked activation once, routes light the rows whose
-    switch prediction is strictly below tau (`switch.infer(h) < tau`), and
+    switch prediction is strictly below tau (`switch.infer(h, n) < tau`), and
     runs the lightweight decoder on those rows and the full suffix on the
     rest, on plain arrays. Ties and NaN go full, the safe direction. The
     batch is padded once (padded_latent) and each routed subset is gathered
-    to an even row count (nn.pad_rows on its row indices), so no layer pads
+    to an even row count (pad_rows on its row indices), so no layer pads
     again. A batch whose rows all route one way runs that decoder on the
     whole latent with no gather or scatter; row invariance makes its bits
     those of the general path.
     """
     h, n = padded_latent(prefix, mask, x.data)
-    light = switch.infer_padded(h, n)[:n] < tau
+    light = switch.infer(h, n)[:n] < tau
     n_light = int(np.count_nonzero(light))
     if n_light == n:
-        return Tensor(lwd.infer_padded(h, n)[:n]), [LIGHT_ROUTE] * n
+        return Tensor(lwd.infer(h, n)[:n]), [LIGHT_ROUTE] * n
     if n_light == 0:
-        return Tensor(suffix.infer_padded(h, n)[:n]), [FULL_ROUTE] * n
+        return Tensor(suffix.infer(h, n)[:n]), [FULL_ROUTE] * n
     out = np.empty((n, suffix.output_dim))
     for net, rows in ((lwd, np.flatnonzero(light)), (suffix, np.flatnonzero(~light))):
-        out[rows] = net.infer_padded(h.take(nn.pad_rows(rows), axis=0), rows.size)[:rows.size]
+        out[rows] = net.infer(h.take(pad_rows(rows), axis=0), rows.size)[:rows.size]
     return Tensor(out), [LIGHT_ROUTE if is_light else FULL_ROUTE for is_light in light.tolist()]

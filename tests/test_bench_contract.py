@@ -68,6 +68,35 @@ def test_route_macs_per_row_match_the_analytic_counts():
         assert counter.total / n == expected[route], route
 
 
+def test_serving_runs_each_network_through_one_network_infer_call(monkeypatch):
+    # A span on nn.Network.infer is to time serving: every network a pass
+    # runs, the switch's included, goes through that one method once.
+    model = SwitchedAutoencoder([8, 6, 8], ["tanh", "none"], routing.SwitchConfig(), seed=0)
+    batch = Tensor(np.random.default_rng(2).uniform(-1, 1, (6, 8)))
+    tau = float(np.median(model.switch_predictions(batch)))
+    row = Tensor(batch.data[:1])
+    infer, calls = nn.Network.infer, []
+
+    def counted(net, x, n):
+        calls.append(net)
+        return infer(net, x, n)
+
+    monkeypatch.setattr(nn.Network, "infer", counted)
+    passes = {
+        "full_output": (lambda: model.full_output(row), 2),
+        "light_output": (lambda: model.light_output(row), 2),
+        "switch_predictions": (lambda: model.switch_predictions(row), 2),
+        "passes": (lambda: model.passes(row.data), 4),
+        "mixed_output": (lambda: model.mixed_output(row, tau), 3),
+        "mixed_output routing both ways": (lambda: model.mixed_output(batch, tau), 4),
+    }
+    for name, (run, want) in passes.items():
+        calls.clear()
+        out = run()
+        assert len(calls) == want, name
+    assert {d.kind for d in out[1]} == {routing.LIGHT, routing.FULL}
+
+
 def test_tracer_records_one_mixed_forward_span_and_uninstall_restores_every_name():
     # `--trace 1` reads the batch size from mixed_forward's sixth positional
     # argument, and untraced work must run the unwrapped code again.

@@ -3,7 +3,7 @@ import pytest
 
 from switchpass import autograd as ag
 from switchpass import nn
-from switchpass.autograd import Tensor
+from switchpass.autograd import MacCounter, Tensor
 from switchpass.errors import ConfigError, DimensionError
 
 RNG = np.random.default_rng(7)
@@ -111,6 +111,14 @@ class TestCounts:
         joined = nn.Network(a.layers + b.layers, a.input_dim)
         assert nn.param_count(joined) == nn.param_count(a) + nn.param_count(b)
         assert nn.mac_count(joined) == nn.mac_count(a) + nn.mac_count(b)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_forward_counts_mac_count_per_row(self, n):
+        # The one counting rule of every network pass: n rows cost n * mac_count.
+        net = random_net([8, 6, 5, 3], seed=3)
+        with MacCounter() as counter:
+            net.forward(Tensor(RNG.uniform(-1, 1, (n, 8))))
+        assert counter.total == n * nn.mac_count(net)
 
 
 class TestInit:

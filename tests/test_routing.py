@@ -103,8 +103,8 @@ class TestMask:
         prefix.layers[0].weights.data = np.eye(3)
         mask = routing.LatentMask(3, eps=1e-3)
         mask.w.data = np.array([0.5, 1e-6, -0.2])
-        out1 = routing.infer_latent(prefix, mask, np.array([[2.0, 123.0, 2.0]]))
-        out2 = routing.infer_latent(prefix, mask, np.array([[2.0, -999.0, 2.0]]))
+        out1 = routing.padded_latent(prefix, mask, np.array([[2.0, 123.0, 2.0]]))[0][:1]
+        out2 = routing.padded_latent(prefix, mask, np.array([[2.0, -999.0, 2.0]]))[0][:1]
         assert np.array_equal(out1, [[1.0, 0.0, -0.4]])
         assert np.array_equal(out1, out2)
 
@@ -387,16 +387,16 @@ class TestMixedForward:
         x = Tensor(RNG.uniform(-1, 1, (9, 6)))
         out, decisions = routing.mixed_forward(prefix, mask, switch, light, suffix, x, 0.0)
         assert all(d.kind == routing.FULL for d in decisions)
-        h = prefix.infer(x.data) * mask.hard_weights()
-        assert out.data.tobytes() == suffix.infer(h).tobytes()
+        h = prefix.infer(x.data, 9) * mask.hard_weights()
+        assert out.data.tobytes() == suffix.infer(h, 9).tobytes()
 
     def test_huge_tau_is_light_pass_bitwise(self):
         prefix, mask, switch, light, suffix = self.build()
         x = Tensor(RNG.uniform(-1, 1, (9, 6)))
         out, decisions = routing.mixed_forward(prefix, mask, switch, light, suffix, x, 1e18)
         assert all(d.kind == routing.LIGHT for d in decisions)
-        h = prefix.infer(x.data) * mask.hard_weights()
-        assert out.data.tobytes() == light.infer(h).tobytes()
+        h = prefix.infer(x.data, 9) * mask.hard_weights()
+        assert out.data.tobytes() == light.infer(h, 9).tobytes()
 
     def test_per_sample_macs_match_analytic_expectation(self):
         prefix, mask, switch, light, suffix = self.build()
@@ -440,7 +440,7 @@ def ulps_around(center: float, n: int = 64) -> list[float]:
 
 
 class TestOneRoutingRule:
-    """mixed_forward routes a row light exactly when `switch.infer(h) < tau`.
+    """mixed_forward routes a row light exactly when `switch.infer(h, n) < tau`.
 
     With a 1-wide identity prefix and switch, the switch's pre-softplus
     output z is the input, so the grid walks z across softplus's inverse at
@@ -472,13 +472,13 @@ class TestOneRoutingRule:
             prefix, mask, switch, lwd, suffix = pieces = self.build(mask_weight)
             x = x[:, None]
             with np.errstate(invalid="ignore"):
-                h = routing.infer_latent(prefix, mask, x)
-                assert np.array_equal(switch.net.infer(h)[:, 0], z, equal_nan=True)
-                expected = switch.infer(h) < tau
+                h, n = routing.padded_latent(prefix, mask, x)
+                assert np.array_equal(switch.net.infer(h, n)[:n, 0], z, equal_nan=True)
+                expected = switch.infer(h, n)[:n] < tau
                 out, decisions = routing.mixed_forward(*pieces, Tensor(x), tau)
                 assert [d.kind == routing.LIGHT for d in decisions] == expected.tolist()
-                assert np.array_equal(out.data, np.where(expected[:, None], lwd.infer(h),
-                                                         suffix.infer(h)), equal_nan=True)
+                assert np.array_equal(out.data, np.where(expected[:, None], lwd.infer(h, n)[:n],
+                                                         suffix.infer(h, n)[:n]), equal_nan=True)
                 for i in range(x.shape[0]):
                     _, (decision,) = routing.mixed_forward(*pieces, Tensor(x[i:i + 1]), tau)
                     assert (decision.kind == routing.LIGHT) == expected[i]
@@ -490,11 +490,11 @@ class TestOneRoutingRule:
         x = np.array(list(np.random.default_rng(5).normal(0.0, 5.0, 50))
                      + [0.0, -0.0, 5e-324, -745.2, 40.0])[:, None]
         prefix, mask, switch, lwd, suffix = pieces = self.build(1.0)
-        h = routing.infer_latent(prefix, mask, x)
+        h, n = routing.padded_latent(prefix, mask, x)
         light = tau == np.inf
         out, decisions = routing.mixed_forward(*pieces, Tensor(x), tau)
-        assert decisions == [routing.LIGHT_ROUTE if light else routing.FULL_ROUTE] * x.shape[0]
-        assert out.data.tobytes() == (lwd if light else suffix).infer(h).tobytes()
+        assert decisions == [routing.LIGHT_ROUTE if light else routing.FULL_ROUTE] * n
+        assert out.data.tobytes() == (lwd if light else suffix).infer(h, n)[:n].tobytes()
 
 
 # A routing threshold drawn as a quantile of the batch's predictions, or None
@@ -566,13 +566,34 @@ class TestMixedOutputProperties:
         net = model.switch.net if name == "switch" else getattr(model, name)
         pool = self.POOL if name == "prefix" else model.infer_latent(self.POOL)
         x = pool[rows]
-        out = net.infer(x)
+        out = net.infer(x, len(rows))
         assert out.tobytes() == net.forward(Tensor(x)).data.tobytes()
         for i, row in enumerate(rows):
-            assert out[i].tobytes() == net.infer(pool[row:row + 1])[0].tobytes()
+            assert out[i].tobytes() == net.infer(pool[row:row + 1], 1)[0].tobytes()
         if name == "switch":
             tracked = model.switch.predict(Tensor(x)).data
-            assert model.switch.infer(x).tobytes() == tracked.tobytes()
+            assert model.switch.infer(x, len(rows)).tobytes() == tracked.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["prefix", "suffix", "light", "switch"]), st.integers(1, 9),
+           st.integers(0, 55), st.booleans())
+    def test_infer_padded_once_equals_infer_unpadded(self, name, m, start, default_dims):
+        # Serving pads a batch once (routing.pad_rows) and passes its real
+        # row count; unpadded, the kernel pads an odd height itself. Both give
+        # the real rows the same bits and count MACs for those m rows only.
+        model = self.DEFAULT_MODEL if default_dims else self.MODEL
+        pool = self.DEFAULT_POOL if default_dims else self.POOL
+        if name != "prefix":
+            pool = model.infer_latent(pool)
+        net = model.switch.net if name == "switch" else getattr(model, name)
+        run = model.switch.infer if name == "switch" else net.infer
+        x = pool[start:start + m]
+        outs = []
+        for batch in (routing.pad_rows(x), x):
+            with MacCounter() as counter:
+                outs.append(run(batch, m)[:m])
+            assert counter.total == m * nn.mac_count(net)
+        assert outs[0].tobytes() == outs[1].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_macs_count_real_rows_only(self, n):
@@ -589,10 +610,10 @@ class TestMixedOutputProperties:
             "switch": (lambda: model.switch_predictions(x), prefix + switch),
             "passes": (lambda: model.passes(x.data), prefix + switch + light + suffix),
             "latent": (lambda: model.infer_latent(x.data), prefix),
-            "prefix.infer": (lambda: model.prefix.infer(x.data), prefix),
-            "suffix.infer": (lambda: model.suffix.infer(h), suffix),
-            "light.infer": (lambda: model.light.infer(h), light),
-            "switch.infer": (lambda: model.switch.infer(h), switch),
+            "prefix.infer": (lambda: model.prefix.infer(x.data, n), prefix),
+            "suffix.infer": (lambda: model.suffix.infer(h, n), suffix),
+            "light.infer": (lambda: model.light.infer(h, n), light),
+            "switch.infer": (lambda: model.switch.infer(h, n), switch),
         }
         for name, (run, per_row) in expected.items():
             with MacCounter() as counter:
