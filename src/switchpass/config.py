@@ -31,7 +31,7 @@ CLI_DATA_SEED = 11
 _SCHEMA = {
     "arch": {"dims": ("train", [int]), "activations": ("train", [str]),
              "placement": ("dsl", int), "rho": ("dsl", float)},
-    "dsl": {"alpha": ("dsl", float), "beta": ("dsl", float), "eps": ("dsl", float),
+    "dsl": {"alpha": ("dsl", float), "beta": ("dsl", float),
             "tau": ("run", float), "target_light_fraction": ("run", float)},
     "data": {"frame_len": ("spec", int), "seed": ("spec", int),
              "n_easy": ("data", int), "n_hard": ("data", int),

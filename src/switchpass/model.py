@@ -40,7 +40,7 @@ class SwitchedAutoencoder:
         net = nn.init_network(dims, activations, derive_seed(seed, _NET))
         self.prefix, self.suffix = net.split_at(cfg.placement)
         d = self.suffix.input_dim
-        self.mask = routing.LatentMask(d, eps=cfg.eps)
+        self.mask = routing.LatentMask(d)
         self.switch = routing.build_switch(d, seed=derive_seed(seed, _SWITCH))
         self.light = routing.build_light_decoder(
             self.suffix, cfg.rho, seed=derive_seed(seed, _LIGHT)

@@ -28,22 +28,24 @@ FULL = "full"
 #: a target light fraction.
 DEFAULT_TARGET_LIGHT_FRACTION = 0.6
 
+#: A mask weight with |w| below this is snapped to exactly 0 at inference.
+HARD_ZERO_EPS = 1e-3
+
 
 @dataclass
 class SwitchConfig:
     """Weights and thresholds governing the block.
 
     alpha jointly weights the switch and imitation losses, beta weights the
-    mask's L1 penalty, eps is the hard-zero cutoff for mask weights at
-    inference, rho the width factor of the lightweight decoder, and placement
-    the layer index where the block is inserted, checked against the network
-    by model.check_placement. The routing threshold tau is not part of the
-    block: it is calibrated or chosen per run (see config.RunConfig).
+    mask's L1 penalty, rho is the width factor of the lightweight decoder,
+    and placement the layer index where the block is inserted, checked
+    against the network by model.check_placement. The routing threshold tau
+    is not part of the block: it is calibrated or chosen per run (see
+    config.RunConfig), and the mask's hard-zero cutoff is HARD_ZERO_EPS.
     """
 
     alpha: float = 1.0
     beta: float = 1e-3
-    eps: float = 1e-3
     rho: float = 0.25
     placement: int = 1
 
@@ -53,16 +55,13 @@ class SwitchConfig:
                 f"alpha and beta must be finite and >= 0, got {self.alpha}, {self.beta}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
 
 
 class LatentMask:
     """Per-dimension multiplicative weights on the activation map."""
 
-    def __init__(self, dim: int, eps: float = SwitchConfig.eps):
+    def __init__(self, dim: int):
         self.w = Tensor(np.ones(dim), requires_grad=True)
-        self.eps = float(eps)
         self._hard_key = self._hard = None
 
     @property
@@ -70,17 +69,17 @@ class LatentMask:
         return self.w.shape[0]
 
     def hard_weights(self) -> np.ndarray:
-        """Weights with |w| < eps snapped to exactly 0 (inference view), as a
-        read-only array.
+        """Weights with |w| < HARD_ZERO_EPS snapped to exactly 0 (inference
+        view), as a read-only array.
 
         Computed once per weight state: the result is kept under the bytes and
-        shape of `w.data` and `eps`, so a write in place, a rebound `.data`, a
+        shape of `w.data`, so a write in place, a rebound `.data`, a
         loaded checkpoint or an Adam step (which writes through `AdamState`'s
         views) is seen at the next call."""
         w = self.w.data
-        key = (w.tobytes(), w.shape, self.eps)
+        key = (w.tobytes(), w.shape)
         if key != self._hard_key:
-            hard = np.where(np.abs(w) >= self.eps, w, 0.0)
+            hard = np.where(np.abs(w) >= HARD_ZERO_EPS, w, 0.0)
             hard.flags.writeable = False
             self._hard_key, self._hard = key, hard
         return self._hard
@@ -99,7 +98,7 @@ def compression_loss(mask: LatentMask) -> Tensor:
 
 def activation_sparsity(mask: LatentMask) -> float:
     """Fraction of latent dimensions hard-zeroed at inference."""
-    return float(np.mean(np.abs(mask.w.data) < mask.eps))
+    return float(np.mean(mask.hard_weights() == 0.0))
 
 
 class Switch:

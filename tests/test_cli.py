@@ -18,7 +18,7 @@ TINY_CONFIG = {
         "placement": 1,
         "rho": 0.5,
     },
-    "dsl": {"alpha": 1.0, "beta": 0.001, "eps": 0.001},
+    "dsl": {"alpha": 1.0, "beta": 0.001},
     "data": {
         "frame_len": 16,
         "seed": 9,
@@ -86,15 +86,13 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("build", [
-    lambda: routing.SwitchConfig(eps=NAN),
-    lambda: routing.SwitchConfig(eps=INF),
     lambda: routing.SwitchConfig(alpha=NAN),
     lambda: routing.SwitchConfig(beta=INF),
     lambda: TrainConfig(lr=NAN),
     lambda: TrainConfig(lr=INF),
     lambda: TrainConfig(checkpoint_every=-5),
     lambda: dat.split([], (NAN, 0.5, 0.5), 0),
-], ids=["eps-nan", "eps-inf", "alpha-nan", "beta-inf", "lr-nan", "lr-inf",
+], ids=["alpha-nan", "beta-inf", "lr-nan", "lr-inf",
         "checkpoint_every-negative", "ratios-nan"])
 def test_non_finite_or_negative_config_number_rejected(build):
     with pytest.raises(ConfigError):
@@ -102,9 +100,9 @@ def test_non_finite_or_negative_config_number_rejected(build):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("dsl", "eps", NAN),
+    ("dsl", "beta", NAN),
     ("train", "epochs", INF),
-], ids=["eps-nan", "epochs-inf"])
+], ids=["beta-nan", "epochs-inf"])
 def test_train_with_non_finite_config_number_exits_2(workdir, capsys, section, key, value):
     tmp_path, config = workdir
     doc = json.loads(config.read_text())
@@ -231,19 +229,21 @@ def test_every_config_key_rejects_a_value_of_the_wrong_type(workdir, capsys, sec
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("easy_noise_amp", 0.02), ("hard_components", 3),
-    ("hard_freq_range", [0.02, 0.45]), ("hard_amp_range", [0.2, 0.9]),
+@pytest.mark.parametrize("section, key, value", [
+    ("data", "easy_noise_amp", 0.02), ("data", "hard_components", 3),
+    ("data", "hard_freq_range", [0.02, 0.45]), ("data", "hard_amp_range", [0.2, 0.9]),
+    ("dsl", "eps", 0.001),
 ])
-def test_removed_corpus_shape_key_is_unknown(workdir, capsys, key, value):
-    # The corpus shape is data.py's constants, not config: a key that set it
-    # is now a stray key, even at the value the constant holds.
+def test_removed_config_key_is_unknown(workdir, capsys, section, key, value):
+    # The corpus shape (data.py's constants) and the mask's hard-zero cutoff
+    # (routing.HARD_ZERO_EPS) are not config: a key that set one is now a
+    # stray key, even at the value the constant holds.
     tmp_path, config = workdir
     doc = json.loads(config.read_text())
-    doc["data"][key] = value
+    doc[section][key] = value
     config.write_text(json.dumps(doc))
     assert cli.main(["train", str(config)]) == 2
-    assert f"error: config section data: unknown keys ['{key}']" in capsys.readouterr().err
+    assert f"error: config section {section}: unknown keys ['{key}']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -27,16 +27,13 @@ class TestMask:
         assert np.array_equal(mask.apply(h).data, h.data)
         assert np.array_equal(h.data * mask.hard_weights(), h.data)
 
-    def test_default_eps_is_the_switch_config_default(self):
-        assert routing.LatentMask(4).eps == routing.SwitchConfig().eps
-
     def test_infer_hard_zeroes_small_weights(self):
-        mask = routing.LatentMask(3, eps=1e-3)
+        mask = routing.LatentMask(3)
         mask.w.data = np.array([0.5, 1e-6, -0.2])
         assert np.array_equal(mask.hard_weights(), [0.5, 0.0, -0.2])
 
     @pytest.mark.parametrize("change", [
-        "write-in-place", "rebind", "eps", "load-state-arrays", "adam-step"])
+        "write-in-place", "rebind", "load-state-arrays", "adam-step"])
     def test_hard_weights_follow_every_change_of_the_weights(self, change):
         model = SwitchedAutoencoder([8, 6, 5, 8], ["tanh", "relu", "none"],
                                     routing.SwitchConfig(), seed=0)
@@ -48,8 +45,6 @@ class TestMask:
             mask.w.data[1] = 1e-6
         elif change == "rebind":
             mask.w.data = np.array([0.5, 1e-6, -0.2, 0.3, 2.0, -1e-4])
-        elif change == "eps":
-            mask.eps = 1.5
         elif change == "load-state-arrays":
             arrays = model.state_arrays()
             arrays["mask.w"] = np.array([0.5, 1e-6, -0.2, 0.3, 2.0, -1e-4])
@@ -58,7 +53,7 @@ class TestMask:
             mask.w.grad += np.arange(6.0) - 2.0
             training.adam_step(params, state)
         w = mask.w.data
-        want = np.where(np.abs(w) >= mask.eps, w, 0.0)
+        want = np.where(np.abs(w) >= routing.HARD_ZERO_EPS, w, 0.0)
         assert want.tobytes() != before.tobytes()
         assert mask.hard_weights().tobytes() == want.tobytes()
 
@@ -101,7 +96,7 @@ class TestMask:
         # prefix, whatever sits in a zeroed dimension cannot reach the output.
         prefix = nn.init_network([3, 3], ["none"], seed=0)
         prefix.layers[0].weights.data = np.eye(3)
-        mask = routing.LatentMask(3, eps=1e-3)
+        mask = routing.LatentMask(3)
         mask.w.data = np.array([0.5, 1e-6, -0.2])
         out1 = routing.padded_latent(prefix, mask, np.array([[2.0, 123.0, 2.0]]))[0][:1]
         out2 = routing.padded_latent(prefix, mask, np.array([[2.0, -999.0, 2.0]]))[0][:1]
@@ -305,7 +300,7 @@ class TestSparsity:
         assert routing.activation_sparsity(mask) == 1.0
 
     def test_half(self):
-        mask = routing.LatentMask(4, eps=1e-3)
+        mask = routing.LatentMask(4)
         mask.w.data = np.array([0.5, 1e-6, -0.2, 0.0])
         assert routing.activation_sparsity(mask) == 0.5
 
@@ -368,8 +363,6 @@ class TestSwitchConfig:
             routing.SwitchConfig(alpha=-1.0)
         with pytest.raises(ConfigError):
             routing.SwitchConfig(rho=1.0)
-        with pytest.raises(ConfigError):
-            routing.SwitchConfig(eps=0.0)
 
 
 class TestMixedForward:
