@@ -225,8 +225,9 @@ def softplus(a: Tensor) -> Tensor:
 
 def dense_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str = "none") -> np.ndarray:
     """act(x @ w + b) on plain arrays, for x (m, k), w (k, n) and b (n,):
-    the value of `dense`, and the inference kernel. Counts no MACs: a network
-    pass counts its real rows (nn.count_macs), not the rows it pads.
+    the layer kernel of every network pass (nn.Network.trace and infer).
+    Counts no MACs: a network pass counts its real rows (nn.count_macs), not
+    the rows it pads.
 
     w is C-contiguous (in, out), so each block's gemm reads it in order.
     The bias add and activation overwrite the product, bitwise equal to
@@ -239,30 +240,6 @@ def dense_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str = "none") 
     z = _mm(x, w)
     z += b
     return z if f is None else f(z)
-
-
-def dense_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray, out: np.ndarray, act: str,
-              need_gx: bool):
-    """The gradients (gx, gw, gb) of out = dense_array(x, w, b, act) for an
-    output adjoint g: the arrays the matmul, bias-add and activation ops'
-    VJPs return, in their order. gx is None when not needed."""
-    df = _ACT[act][1]
-    gz = g if df is None else g * df(out)
-    gx = _mm(gz, w.T) if need_gx else None
-    return gx, _mm(x.T, gz), gz.sum(axis=0)
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
-    """act(x @ w + b) as one node, for x (m, k), w (k, n) and b (n,).
-
-    It runs the kernels of the matmul, bias-add and activation ops in their
-    order, and its VJP returns the arrays that chain of ops would, so values
-    and gradients are bitwise equal to it. Counts no MACs: the network pass
-    that runs it does (nn.count_macs).
-    """
-    xd, wd = x.data, w.data
-    out = dense_array(xd, wd, b.data, act)
-    return _track(out, (x, w, b), lambda g: dense_vjp(g, xd, wd, out, act, x.requires_grad))
 
 
 def reduce(a: Tensor, kind: str) -> Tensor:

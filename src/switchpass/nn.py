@@ -42,20 +42,45 @@ class Network:
         return self.layers[-1].out_dim if self.layers else self.input_dim
 
     def forward(self, x: Tensor) -> Tensor:
+        """The pass as one graph node whose parents are x and every layer's
+        weights and bias: its value is `trace`'s last output and its VJP is
+        `backprop`, the backward training runs. An empty network returns x."""
         if x.data.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(
                 f"forward: input shape {x.shape} does not match input_dim {self.input_dim}"
             )
-        count_macs(self, x.shape[0])
+        if not self.layers:
+            return x
+        trace = self.trace(x.data)
+        parents = [x]
         for layer in self.layers:
-            x = ag.dense(x, layer.weights, layer.bias, layer.activation)
-        return x
+            parents += (layer.weights, layer.bias)
+
+        def vjp(g):
+            gx, grads = backprop(trace, g, x.requires_grad)
+            return (gx, *grads)
+
+        return ag._track(trace[-1][2], parents, vjp)
+
+    def trace(self, x: np.ndarray) -> list[tuple]:
+        """The recorded pass on plain arrays: runs x through the layers with
+        ag.dense_array and keeps, per layer, its input, weights, output and
+        activation, what `backprop` reads. Counts rows * mac_count MACs."""
+        count_macs(self, x.shape[0])
+        trace = []
+        for layer in self.layers:
+            w = layer.weights.data
+            out = ag.dense_array(x, w, layer.bias.data, layer.activation)
+            trace.append((x, w, out, layer.activation))
+            x = out
+        return trace
 
     def infer(self, x: np.ndarray, n: int) -> np.ndarray:
         """forward's values on plain arrays, bit for bit, with no graph, for a
         batch whose first n rows are real (the rest pad it to whole row
         blocks). Returns every row; MACs are counted for the n real rows
-        only."""
+        only. Unlike `trace` it keeps no record of the pass, which serving
+        does not need and which slows a batch-1 request."""
         count_macs(self, n)
         for layer in self.layers:
             x = ag.dense_array(x, layer.weights.data, layer.bias.data, layer.activation)
@@ -70,6 +95,23 @@ class Network:
             Network(self.layers[:i], self.input_dim),
             Network(self.layers[i:], suffix_in),
         )
+
+
+def backprop(trace: list[tuple], g: np.ndarray, need_gx: bool):
+    """Pushes the adjoint g of a pass's output back through its trace (from
+    Network.trace), last layer first, with each dense layer's VJP: gz = g
+    times the activation's derivative, then gz @ w.T, x.T @ gz and gz summed
+    over the rows. Returns the adjoint of the pass's input (None unless
+    need_gx) and the weight and bias gradients in layer order."""
+    grads = []
+    for k in range(len(trace) - 1, -1, -1):
+        x, w, out, act = trace[k]
+        df = ag._ACT[act][1]
+        gz = g if df is None else g * df(out)
+        g = ag._mm(gz, w.T) if need_gx or k > 0 else None
+        grads += (gz.sum(axis=0), ag._mm(x.T, gz))
+    grads.reverse()
+    return g, grads
 
 
 def count_macs(net: Network, rows: int) -> None:

@@ -92,10 +92,6 @@ class LatentMask:
         return ag.mul(h, self.w)
 
 
-def compression_loss(mask: LatentMask) -> Tensor:
-    return ag.reduce(mask.w, "l1")
-
-
 def activation_sparsity(mask: LatentMask) -> float:
     """Fraction of latent dimensions hard-zeroed at inference."""
     return float(np.mean(mask.hard_weights() == 0.0))

@@ -179,42 +179,16 @@ def build_dataset(cfg: DataConfig) -> dat.Dataset:
     return dat.split(frames, cfg.ratios, cfg.spec.seed)
 
 
-def _forward(net: nn.Network, x: np.ndarray) -> list[tuple]:
-    """Runs x through net's layers with ag.dense_array and keeps, per layer,
-    its input, weights, output and activation: what ag.dense_vjp reads."""
-    nn.count_macs(net, x.shape[0])
-    layers = []
-    for layer in net.layers:
-        w = layer.weights.data
-        out = ag.dense_array(x, w, layer.bias.data, layer.activation)
-        layers.append((x, w, out, layer.activation))
-        x = out
-    return layers
-
-
-def _backprop(layers: list[tuple], g: np.ndarray, need_gx: bool):
-    """Pushes the adjoint g of the last layer's output back through layers
-    (from _forward), last first. Returns the adjoint of the first layer's
-    input (None unless need_gx) and the weights and bias gradients in layer
-    order."""
-    grads = []
-    for k in range(len(layers) - 1, -1, -1):
-        x, w, out, act = layers[k]
-        g, gw, gb = ag.dense_vjp(g, x, w, out, act, need_gx or k > 0)
-        grads += (gb, gw)
-    grads.reverse()
-    return g, grads
-
-
 def total_loss(x: Tensor, model: SwitchedAutoencoder):
     """Composite loss and its term breakdown for one batch, as one node whose
     parents are the model's named parameters.
 
-    The forward runs every network on plain arrays. The VJP is the backward
-    of the per-layer graph (dense layers, the mask's multiply, the switch's
-    softplus and reshape, the MSE, L1 and weighting nodes), written out with
-    the ops' own VJP helpers in that graph's order, so every gradient has
-    that graph's bits. The batch is never a gradient path: one that requires
+    The forward traces every network on plain arrays (nn.Network.trace).
+    The VJP is the backward of the graph Network.forward and the ops would
+    build (network passes, the mask's multiply, the switch's softplus and
+    reshape, the MSE, L1 and weighting nodes), written out with those nodes'
+    own VJP helpers (nn.backprop, ag.mse_vjp) in that graph's order, so
+    every gradient has that graph's bits. The batch is never a gradient path: one that requires
     grad raises ContractError.
     """
     if x.requires_grad:
@@ -223,19 +197,19 @@ def total_loss(x: Tensor, model: SwitchedAutoencoder):
     cfg = model.cfg
     alpha, beta = float(cfg.alpha), float(cfg.beta)
     xd = x.data
-    prefix = _forward(model.prefix, xd)
+    prefix = model.prefix.trace(xd)
     pre = prefix[-1][2]
     w_mask = model.mask.w.data
     h = pre * w_mask  # the train-mode masked latent
-    suffix = _forward(model.suffix, h)
+    suffix = model.suffix.trace(h)
     full = suffix[-1][2]
     l_recon, d_recon = ag.mse_array(full, xd)
 
-    light = _forward(model.light, h)
+    light = model.light.trace(h)
     d_out = light[-1][2]
     l_lwd, d_lwd = ag.mse_array(d_out, full)
 
-    switch = _forward(model.switch.net, h)
+    switch = model.switch.net.trace(h)
     z = switch[-1][2]
     predicted = ag.softplus_array(z).reshape((h.shape[0],))
     l_switch, d_switch = ag.mse_array(predicted, routing.pass_gap_array(d_out, full))
@@ -245,15 +219,15 @@ def total_loss(x: Tensor, model: SwitchedAutoencoder):
 
     def vjp(g):
         # Reconstruction alone reaches the suffix, the mask's input and so the prefix.
-        gh, suffix_grads = _backprop(suffix, ag.mse_vjp(g, d_recon), True)
-        _, prefix_grads = _backprop(prefix, gh * w_mask, False)
+        gh, suffix_grads = nn.backprop(suffix, ag.mse_vjp(g, d_recon), True)
+        _, prefix_grads = nn.backprop(prefix, gh * w_mask, False)
         g_mask = (g * beta) * np.sign(w_mask) + (gh * pre).sum(axis=0)
         # The light decoder and switch stop at their input, and their targets
         # are constants, so imitation trains the light decoder only and the
         # switch loss the switch only.
-        _, light_grads = _backprop(light, ag.mse_vjp(g * alpha, d_lwd), False)
+        _, light_grads = nn.backprop(light, ag.mse_vjp(g * alpha, d_lwd), False)
         g_pred = ag.mse_vjp(g * alpha, d_switch).reshape(z.shape)
-        _, switch_grads = _backprop(switch, g_pred * ag.sigmoid_array(z), False)
+        _, switch_grads = nn.backprop(switch, g_pred * ag.sigmoid_array(z), False)
         return (*prefix_grads, *suffix_grads, g_mask, *switch_grads, *light_grads)
 
     loss = ag._track(np.asarray(l_total), [p for _, p in model.named_parameters()], vjp)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchpass import autograd as ag
+from switchpass import nn
 from switchpass.autograd import MacCounter, Tensor
 from switchpass.errors import ContractError, DimensionError
 
@@ -165,9 +166,9 @@ class TestActivations:
         assert rel_err(x.grad, fd) < 1e-5
 
     def test_unknown_kind(self):
-        # Layers select their activation by name through dense.
+        # Layers select their activation by name through dense_array.
         with pytest.raises(ContractError):
-            ag.dense(Tensor([[1.0]]), Tensor([[1.0]]), Tensor([0.0]), "gelu")
+            ag.dense_array(np.ones((1, 1)), np.ones((1, 1)), np.zeros(1), "gelu")
 
 
 def three_node_dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
@@ -176,29 +177,49 @@ def three_node_dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
     return {"none": lambda t: t, "relu": ag.relu, "tanh": ag.tanh}[act](z)
 
 
+def one_layer(w: Tensor, b: Tensor, act: str) -> nn.Network:
+    return nn.Network([nn.DenseLayer(w, b, act)], w.shape[0])
+
+
 class TestDense:
+    """Network.forward, one node per pass, against a chain of
+    three_node_dense layers: values and every gradient bit for bit."""
+
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 64), st.integers(1, 9), st.integers(1, 9),
-           st.sampled_from(["none", "relu", "tanh"]), st.integers(0, 2 ** 32 - 1))
-    def test_bitwise_equal_to_three_node_chain(self, m, k, n, act, seed):
+    @given(st.lists(st.tuples(st.integers(1, 9), st.sampled_from(["none", "relu", "tanh"])),
+                    min_size=1, max_size=3),
+           st.integers(1, 64), st.integers(1, 9), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_three_node_chain(self, layers, m, k, track_x, seed):
         rng = np.random.default_rng(seed)
-        arrays = (rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (k, n)),
-                  rng.uniform(-1, 1, n))
-        c = Tensor(rng.uniform(-1, 1, (m, n)))
+        widths = [k] + [n for n, _ in layers]
+        arrays = [(rng.uniform(-2, 2, (i, o)), rng.uniform(-1, 1, o))
+                  for i, o in zip(widths, widths[1:])]
+        x0 = rng.uniform(-2, 2, (m, k))
+        c = Tensor(rng.uniform(-1, 1, (m, widths[-1])))
         results = []
-        for layer in (ag.dense, three_node_dense):
-            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-            out = layer(x, w, b, act)
+        for one_node in (True, False):
+            x = Tensor(x0.copy(), requires_grad=track_x)
+            params = [(Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True))
+                      for w, b in arrays]
+            if one_node:
+                net = nn.Network([nn.DenseLayer(w, b, act)
+                                  for (w, b), (_, act) in zip(params, layers)], k)
+                out = net.forward(x)
+            else:
+                out = x
+                for (w, b), (_, act) in zip(params, layers):
+                    out = three_node_dense(out, w, b, act)
             ag.backward(ag.reduce(ag.mul(out, c), "sum"))
-            results.append((out.data, x.grad, w.grad, b.grad))
-        for fused, chain in zip(*results):
-            assert fused.tobytes() == chain.tobytes()
+            got = [out.data, x.grad] + [t.grad for pair in params for t in pair]
+            results.append([None if a is None else a.tobytes() for a in got])
+        assert results[0] == results[1]
+        assert (results[0][1] is not None) == track_x
 
     def test_untracked_input_gets_no_gradient(self):
         x = Tensor(RNG.uniform(-1, 1, (3, 4)))
         w = Tensor(RNG.uniform(-1, 1, (4, 2)), requires_grad=True)
         b = Tensor(np.zeros(2), requires_grad=True)
-        ag.backward(ag.reduce(ag.dense(x, w, b, "tanh"), "sum"))
+        ag.backward(ag.reduce(one_layer(w, b, "tanh").forward(x), "sum"))
         assert x.grad is None
         assert w.grad.shape == (4, 2) and b.grad.shape == (2,)
 
@@ -206,22 +227,24 @@ class TestDense:
         x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
         w = Tensor(np.eye(3), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
-        out = ag.dense(x, w, b, "relu")
+        out = one_layer(w, b, "relu").forward(x)
         assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
         ag.backward(ag.reduce(out, "sum"))
         assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
         assert np.array_equal(b.grad, [0.0, 0.0, 1.0])
 
     def test_tanh_at_zero(self):
-        out = ag.dense(Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(4)),
-                       "tanh")
+        out = one_layer(Tensor(np.ones((3, 4))), Tensor(np.zeros(4)), "tanh").forward(
+            Tensor(np.zeros((2, 3))))
         assert np.array_equal(out.data, np.zeros((2, 4)))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            ag.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)))
-        with pytest.raises(DimensionError):
-            ag.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+        x = Tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match="forward"):
+            one_layer(Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)), "none").forward(x)
+        # A bias that does not match the weights raises from dense_array.
+        with pytest.raises(DimensionError, match="dense"):
+            one_layer(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)), "none").forward(x)
 
 
 def misaligned_row(row: np.ndarray) -> np.ndarray:
@@ -244,7 +267,7 @@ class TestRowInvariance:
 
         def value_and_input_grad(rows, xs):
             xt = Tensor(xs, requires_grad=True)
-            out = ag.dense(xt, Tensor(w, requires_grad=True), Tensor(b), act)
+            out = one_layer(Tensor(w, requires_grad=True), Tensor(b), act).forward(xt)
             ag.backward(ag.reduce(ag.mul(out, Tensor(c[rows])), "sum"))
             assert out.data.tobytes() == ag.dense_array(xs, w, b, act).tobytes()
             return out.data, xt.grad
@@ -491,7 +514,7 @@ def random_graph(seed: int, steps) -> tuple[list[Tensor], Tensor]:
         elif op.endswith("-row"):
             out = binary[op[:3]](x, rows[j % 2])
         elif op == "dense":
-            out = ag.dense(x, w, bias, act)
+            out = one_layer(w, bias, act).forward(x)
         elif op == "matmul":
             out = ag.matmul(x, w)
         elif op == "softplus":

@@ -49,6 +49,18 @@ class TestForward:
             part = net.forward(Tensor(np.ascontiguousarray(x[rows]))).data
             assert np.array_equal(full[rows], part)
 
+    @pytest.mark.parametrize("depth", [1, 2, 5])
+    def test_creates_1_tensor_per_call(self, depth):
+        # One node per pass at any depth, counted by node ids between marks.
+        net = random_net([6] * (depth + 1), seed=depth)
+        x = Tensor(RNG.uniform(-1, 1, (4, 6)), requires_grad=True)
+        before = Tensor(0.0).node_id
+        out = net.forward(x)
+        after = Tensor(0.0).node_id
+        assert after - before - 1 == 1
+        params = [p for layer in net.layers for p in (layer.weights, layer.bias)]
+        assert out._parents == (x, *params)
+
 
 class TestSplit:
     def test_split_at_zero(self):

@@ -111,24 +111,6 @@ class TestMask:
             TestMixedOutputProperties.MODEL.masked_latent(Tensor(np.zeros((2, 8))), "test")
 
 
-class TestCompressionLoss:
-    def test_l1_value(self):
-        mask = routing.LatentMask(3)
-        mask.w.data = np.array([1.0, -2.0, 0.0])
-        assert routing.compression_loss(mask).item() == 3.0
-
-    def test_zeros(self):
-        mask = routing.LatentMask(3)
-        mask.w.data = np.zeros(3)
-        assert routing.compression_loss(mask).item() == 0.0
-
-    def test_gradient_is_sign_with_zero_at_zero(self):
-        mask = routing.LatentMask(4)
-        mask.w.data = np.array([0.7, -0.3, 0.0, 2.0])
-        ag.backward(routing.compression_loss(mask))
-        assert np.array_equal(mask.w.grad, [1.0, -1.0, 0.0, 1.0])
-
-
 class TestPassGap:
     def test_values_are_row_norms(self):
         d = Tensor(RNG.uniform(-2, 2, (5, 7)))

@@ -239,20 +239,40 @@ def reference_train_checkpoints(cfg):
     return checkpoints
 
 
-def reference_total_loss(x: Tensor, model: SwitchedAutoencoder):
-    """total_loss as a graph of per-layer nodes: the network forwards, the
-    mask's multiply, a detached latent, three MSE nodes, the L1 node and the
-    weighting nodes. Kept as the bitwise reference for the one-node loss."""
-    cfg = model.cfg
-    h = model.masked_latent(x, "train")
-    full_out = model.suffix.forward(h)
-    l_recon = ag.mse(full_out, x.data)
+def layer_chain(net: nn.Network, x: Tensor) -> Tensor:
+    """net's pass as a matmul, bias-add and activation node per layer: a
+    graph that shares no code with nn.backprop, the backward under test."""
+    for layer in net.layers:
+        z = ag.add(ag.matmul(x, layer.weights), layer.bias)
+        x = {"none": lambda t: t, "relu": ag.relu, "tanh": ag.tanh}[layer.activation](z)
+    return x
+
+
+def chain_passes(x: Tensor, model: SwitchedAutoencoder):
+    """The train-mode masked latent, the full output, a detached latent and
+    the light output, each network run by layer_chain."""
+    h = model.mask.apply(layer_chain(model.prefix, x))
     h_frozen = ag.detach(h)
-    d_out = model.light.forward(h_frozen)
+    return h, layer_chain(model.suffix, h), h_frozen, layer_chain(model.light, h_frozen)
+
+
+def chain_predict(model: SwitchedAutoencoder, h: Tensor) -> Tensor:
+    """switch.predict with the switch's network run by layer_chain."""
+    return ag.reshape(ag.softplus(layer_chain(model.switch.net, h)), (h.shape[0],))
+
+
+def reference_total_loss(x: Tensor, model: SwitchedAutoencoder):
+    """total_loss as a graph of per-op nodes: a matmul, bias-add and
+    activation per layer, the mask's multiply, a detached latent, three MSE
+    nodes, the L1 node and the weighting nodes. Kept as the bitwise reference
+    for the one-node loss."""
+    cfg = model.cfg
+    h, full_out, h_frozen, d_out = chain_passes(x, model)
+    l_recon = ag.mse(full_out, x.data)
     l_lwd = ag.mse(d_out, full_out.data)
-    predicted = model.switch.predict(h_frozen)
+    predicted = chain_predict(model, h_frozen)
     l_switch = ag.mse(predicted, routing.pass_gap_array(d_out.data, full_out.data))
-    l_comp = routing.compression_loss(model.mask)
+    l_comp = ag.reduce(model.mask.w, "l1")
     l_total = ag.add(l_recon, routing.block_loss(l_switch, l_lwd, l_comp, cfg))
     terms = {"l_recon": l_recon, "l_switch": l_switch, "l_lwd": l_lwd, "l_comp": l_comp,
              "l_total": l_total}
@@ -371,17 +391,14 @@ class TestTotalLoss:
         def grads_for(term):
             for _, p in model.named_parameters():
                 p.zero_grad()
-            h = model.masked_latent(x, "train")
-            full_out = model.suffix.forward(h)
-            h_frozen = ag.detach(h)
-            d_out = model.light.forward(h_frozen)
+            _, full_out, h_frozen, d_out = chain_passes(x, model)
             if term == "lwd":
                 ag.backward(ag.mse(d_out, full_out.data))
             elif term == "switch":
-                predicted = model.switch.predict(h_frozen)
+                predicted = chain_predict(model, h_frozen)
                 ag.backward(ag.mse(predicted, routing.pass_gap_array(d_out.data, full_out.data)))
             elif term == "comp":
-                ag.backward(routing.compression_loss(model.mask))
+                ag.backward(ag.reduce(model.mask.w, "l1"))
             return {
                 name: (p.grad is not None and np.any(p.grad != 0.0))
                 for name, p in model.named_parameters()
