@@ -223,25 +223,6 @@ def softplus(a: Tensor) -> Tensor:
     return _track(softplus_array(x), (a,), lambda g: (g * sigmoid_array(x),))
 
 
-def dense_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str = "none") -> np.ndarray:
-    """act(x @ w + b) on plain arrays, for x (m, k), w (k, n) and b (n,):
-    the layer kernel of every network pass (nn.Network.trace and infer).
-    Counts no MACs: a network pass counts its real rows (nn.count_macs), not
-    the rows it pads.
-
-    w is C-contiguous (in, out), so each block's gemm reads it in order.
-    The bias add and activation overwrite the product, bitwise equal to
-    act(_mm(x, w) + b) with no temporaries."""
-    if act not in _ACT:
-        raise ContractError(f"dense: unknown activation {act!r}")
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape}, {b.shape}")
-    f = _ACT[act][0]
-    z = _mm(x, w)
-    z += b
-    return z if f is None else f(z)
-
-
 def reduce(a: Tensor, kind: str) -> Tensor:
     """Full reduction to a scalar tensor.
 

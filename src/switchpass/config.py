@@ -59,8 +59,9 @@ class RunConfig:
         if tau is not None and fraction is not None:
             raise ConfigError(
                 "config section dsl: tau and target_light_fraction are mutually exclusive")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"config: output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(f"config: output_dir must be a non-empty string, "
+                              f"got {self.output_dir!r}")
         if tau is not None and not (math.isfinite(tau) and tau >= 0.0):
             raise ConfigError(f"tau must be finite and >= 0, got {tau}")
         if fraction is not None and not 0.0 <= fraction <= 1.0:

@@ -15,13 +15,30 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
+
 
 @dataclass
 class DenseLayer:
-    weights: Tensor  # in x out, C-contiguous: the dense kernel's bits depend on it
+    weights: Tensor  # in x out, C-contiguous: the layer's bits depend on it
     bias: Tensor  # out
     activation: str = "none"
+
+    def __post_init__(self):
+        if self.activation not in ag._ACT:
+            raise ContractError(f"DenseLayer: unknown activation {self.activation!r}")
+        w, b = self.weights.shape, self.bias.shape
+        if len(w) != 2 or b != w[1:]:
+            raise DimensionError(f"DenseLayer: weights {w} and bias {b} do not fit")
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """act(x @ w + b) on a plain (m, in) array, the kernel of every pass:
+        no check (the layer was checked when built) and no MAC count (a pass
+        counts its real rows). The bias add and activation overwrite the product."""
+        f = ag._ACT[self.activation][0]
+        z = ag._mm(x, self.weights.data)
+        z += self.bias.data
+        return z if f is None else f(z)
 
     @property
     def in_dim(self) -> int:
@@ -45,13 +62,9 @@ class Network:
         """The pass as one graph node whose parents are x and every layer's
         weights and bias: its value is `trace`'s last output and its VJP is
         `backprop`, the backward training runs. An empty network returns x."""
-        if x.data.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"forward: input shape {x.shape} does not match input_dim {self.input_dim}"
-            )
-        if not self.layers:
-            return x
         trace = self.trace(x.data)
+        if not trace:
+            return x
         parents = [x]
         for layer in self.layers:
             parents += (layer.weights, layer.bias)
@@ -63,15 +76,17 @@ class Network:
         return ag._track(trace[-1][2], parents, vjp)
 
     def trace(self, x: np.ndarray) -> list[tuple]:
-        """The recorded pass on plain arrays: runs x through the layers with
-        ag.dense_array and keeps, per layer, its input, weights, output and
+        """The recorded pass on plain arrays: checks x's shape, runs x through
+        the layers and keeps, per layer, its input, weights, output and
         activation, what `backprop` reads. Counts rows * mac_count MACs."""
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise DimensionError(f"forward: input shape {x.shape} does not match "
+                                 f"input_dim {self.input_dim}")
         count_macs(self, x.shape[0])
         trace = []
         for layer in self.layers:
-            w = layer.weights.data
-            out = ag.dense_array(x, w, layer.bias.data, layer.activation)
-            trace.append((x, w, out, layer.activation))
+            out = layer(x)
+            trace.append((x, layer.weights.data, out, layer.activation))
             x = out
         return trace
 
@@ -80,10 +95,11 @@ class Network:
         batch whose first n rows are real (the rest pad it to whole row
         blocks). Returns every row; MACs are counted for the n real rows
         only. Unlike `trace` it keeps no record of the pass, which serving
-        does not need and which slows a batch-1 request."""
+        does not need and which slows a batch-1 request. It checks nothing:
+        its input is routing.padded_latent's checked latent or rows of it."""
         count_macs(self, n)
         for layer in self.layers:
-            x = ag.dense_array(x, layer.weights.data, layer.bias.data, layer.activation)
+            x = layer(x)
         return x
 
     def split_at(self, i: int) -> tuple["Network", "Network"]:

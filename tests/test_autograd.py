@@ -166,9 +166,10 @@ class TestActivations:
         assert rel_err(x.grad, fd) < 1e-5
 
     def test_unknown_kind(self):
-        # Layers select their activation by name through dense_array.
-        with pytest.raises(ContractError):
-            ag.dense_array(np.ones((1, 1)), np.ones((1, 1)), np.zeros(1), "gelu")
+        # A layer's activation name is checked once, when the layer is built.
+        w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+        with pytest.raises(ContractError, match="gelu"):
+            nn.DenseLayer(w, b, "gelu")
 
 
 def three_node_dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
@@ -240,11 +241,16 @@ class TestDense:
 
     def test_shape_mismatch(self):
         x = Tensor(np.zeros((2, 3)))
+        net = one_layer(Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)), "none")
         with pytest.raises(DimensionError, match="forward"):
-            one_layer(Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)), "none").forward(x)
-        # A bias that does not match the weights raises from dense_array.
-        with pytest.raises(DimensionError, match="dense"):
-            one_layer(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)), "none").forward(x)
+            net.forward(x)
+        # Weights that are not 2-D, or a bias that does not match them, raise
+        # when the layer is built.
+        for w, b in ((np.zeros((3, 4)), np.zeros(3)), (np.zeros(4), np.zeros(4)),
+                     (np.zeros((3, 4, 1)), np.zeros((4, 1)))):
+            w, b = Tensor(w), Tensor(b)
+            with pytest.raises(DimensionError, match="DenseLayer"):
+                nn.DenseLayer(w, b, "none")
 
 
 def misaligned_row(row: np.ndarray) -> np.ndarray:
@@ -265,11 +271,13 @@ class TestRowInvariance:
         x, w = rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (k, n))
         b, c = rng.uniform(-1, 1, n), rng.uniform(-1, 1, (m, n))
 
+        layer = nn.DenseLayer(Tensor(w, requires_grad=True), Tensor(b), act)
+
         def value_and_input_grad(rows, xs):
             xt = Tensor(xs, requires_grad=True)
-            out = one_layer(Tensor(w, requires_grad=True), Tensor(b), act).forward(xt)
+            out = nn.Network([layer], k).forward(xt)
             ag.backward(ag.reduce(ag.mul(out, Tensor(c[rows])), "sum"))
-            assert out.data.tobytes() == ag.dense_array(xs, w, b, act).tobytes()
+            assert out.data.tobytes() == layer(xs).tobytes()
             return out.data, xt.grad
 
         full_out, full_gx = value_and_input_grad(np.arange(m), x)

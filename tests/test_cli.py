@@ -137,6 +137,27 @@ def no_data(monkeypatch):
                         lambda *a: pytest.fail("data was built before the rejection"))
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", []),
+    ("eval", ["missing.json"]),
+    ("sweep-beta", ["--betas", "0.001"]),
+    ("ablate-placement", ["--placements", "1"]),
+])
+def test_empty_output_dir_exits_2_before_any_data(workdir, capsys, monkeypatch, command, flags):
+    # An empty output_dir names no directory, so every command would fail
+    # only after its work; the config is rejected before any data is built.
+    tmp_path, config = workdir
+    doc = json.loads(config.read_text())
+    doc["output_dir"] = ""
+    config.write_text(json.dumps(doc))
+    no_data(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, str(config), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "output_dir must be a non-empty string" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("arch, message", [
     ({"placement": 0}, "placement 0 is out of range [1, 2]"),
     ({"placement": 9}, "placement 9 is out of range [1, 2]"),

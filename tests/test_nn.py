@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchpass import autograd as ag
 from switchpass import nn
@@ -60,6 +62,31 @@ class TestForward:
         assert after - before - 1 == 1
         params = [p for layer in net.layers for p in (layer.weights, layer.bias)]
         assert out._parents == (x, *params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 9), st.sampled_from(["none", "relu", "tanh"])),
+                    min_size=1, max_size=4),
+           st.integers(1, 9), st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+    def test_infer_trace_and_forward_agree_bitwise(self, layers, k, m, seed):
+        # Serving's infer, training's trace and the graph node forward run one
+        # kernel: the same bits, and m * mac_count MACs each.
+        rng = np.random.default_rng(seed)
+        widths = [k] + [n for n, _ in layers]
+        net = nn.Network([nn.DenseLayer(Tensor(rng.uniform(-2, 2, (i, o))),
+                                        Tensor(rng.uniform(-1, 1, o)), act)
+                          for i, o, (_, act) in zip(widths, widths[1:], layers)], k)
+        x = rng.uniform(-2, 2, (m, k))
+        passes = {"infer": lambda: net.infer(x, m),
+                  "trace": lambda: net.trace(x)[-1][2],
+                  "forward": lambda: net.forward(Tensor(x)).data}
+        outs = {}
+        for name, run in passes.items():
+            with MacCounter() as counter:
+                out = run()
+            assert out.shape == (m, widths[-1]), name
+            assert counter.total == m * nn.mac_count(net), name
+            outs[name] = out.tobytes()
+        assert outs["infer"] == outs["trace"] == outs["forward"]
 
 
 class TestSplit:

@@ -13,7 +13,8 @@ from switchpass import autograd as ag
 from switchpass import data as dat
 from switchpass import nn, routing, training
 from switchpass.autograd import Tensor
-from switchpass.errors import ConfigError, ContractError, FormatError, TrainingError
+from switchpass.errors import (ConfigError, ContractError, DimensionError, FormatError,
+                               TrainingError)
 from switchpass.model import _SHUFFLE, SwitchedAutoencoder, derive_seed
 
 
@@ -413,6 +414,18 @@ class TestTotalLoss:
         touched = grads_for("comp")
         assert touched["mask.w"]
         assert not any(v for k, v in touched.items() if k != "mask.w")
+
+    @pytest.mark.parametrize("shape", [(4, 15), (4, 17), (16,)])
+    def test_batch_of_the_wrong_shape_is_an_error_that_moves_no_grad(self, shape):
+        # The prefix pass checks the batch at its entry, before any node exists.
+        cfg = tiny_config()
+        model = SwitchedAutoencoder(cfg.dims, cfg.activations, cfg.dsl, cfg.seed)
+        x = Tensor(np.random.default_rng(3).uniform(-1, 1, (4, 16)))
+        ag.backward(training.total_loss(x, model)[0])
+        before = {name: p.grad.tobytes() for name, p in model.named_parameters()}
+        with pytest.raises(DimensionError, match="forward: input shape"):
+            training.total_loss(Tensor(np.ones(shape)), model)
+        assert {name: p.grad.tobytes() for name, p in model.named_parameters()} == before
 
 
 class TestTrainLoop:
