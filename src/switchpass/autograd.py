@@ -1,15 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every arithmetic primitive here is bitwise deterministic. Matrix products go
-through `_mm`, which runs one gemm per fixed block of ROW_BLOCK (2) rows of
-its left operand. On the BLAS build in use a row's bits depend only on that
-row and the right operand, not on the other row of its block nor on where it
-sits (tools/row_block_check.py checks this), so every forward is row and
-batch invariant, and a weight-gradient reduction over the batch is
+Every arithmetic primitive here is bitwise deterministic. There are two kinds
+of matrix product. A forward product goes through `_mm`, which runs one gemm
+per fixed block of ROW_BLOCK (2) rows of its left operand. On the BLAS build
+in use a row's bits depend only on that row and the right operand, not on
+the other row of its block nor on where it sits (tools/row_block_check.py
+checks this), so every forward is row and batch invariant. One gemm over the
+whole batch would reorder the accumulation with the operand sizes and break
+this. A gradient product (a dense layer's input and weight gradients) goes
+through `_grad_mm`, one gemm over the whole batch: it need only be
 deterministic for a fixed batch shape. Reductions accumulate left to right.
-One gemm over the whole batch would reorder the accumulation with the
-operand sizes and break this. The bits themselves are those of the
-numpy/BLAS build in use.
+The bits themselves are those of the numpy/BLAS build in use.
 """
 
 from __future__ import annotations
@@ -51,19 +52,20 @@ class MacCounter:
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # x @ y as one gemm per fixed block of ROW_BLOCK rows of x. A height that
-    # is not a multiple of ROW_BLOCK is zero-padded, and an x that is not
-    # C-contiguous (the x.T of a weight gradient) is copied, so every block
-    # reaches BLAS in one layout. On the BLAS build in use a row's bits then
-    # depend only on that row and y, not on the other row of its block nor on
-    # where it sits (tools/row_block_check.py checks it), so every product is
-    # row and batch invariant. They also depend on y's memory layout (a
-    # transposed view and a contiguous copy differ), so every call site keeps
-    # the layout it passes. A single block is `x.dot(y)`, the same gemm
-    # without matmul's dispatch, when y is C- or F-contiguous (otherwise dot
-    # may copy y and call BLAS where matmul runs numpy's own loop). The only
-    # matrix product in the package. The height is never chosen by batch
-    # size: a row's bits would then depend on its batch.
+    # x @ y as one gemm per fixed block of ROW_BLOCK rows of x: the forward
+    # product. A height that is not a multiple of ROW_BLOCK is zero-padded,
+    # and an x that is not C-contiguous (a transposed or strided view) is
+    # copied, so every block reaches BLAS in one layout. On the BLAS build in
+    # use a row's bits then depend only on that row and y, not on the other
+    # row of its block nor on where it sits (tools/row_block_check.py checks
+    # it), so every product is row and batch invariant. They also depend on
+    # y's memory layout (a transposed view and a contiguous copy differ), so
+    # every call site keeps the layout it passes. A single block is
+    # `x.dot(y)`, the same gemm without matmul's dispatch, when y is C- or
+    # F-contiguous (otherwise dot may copy y and call BLAS where matmul runs
+    # numpy's own loop). With `_grad_mm`, the only matrix products in the
+    # package. The height is never chosen by batch size: a row's bits would
+    # then depend on its batch.
     m, k = x.shape
     if m == ROW_BLOCK and x.flags.c_contiguous and y.flags.forc:
         return x.dot(y)
@@ -74,6 +76,40 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = blocks
     out = np.matmul(x.reshape(-1, ROW_BLOCK, k), y).reshape(-1, y.shape[1])
     return out[:m] if pad else out
+
+
+def _grad_mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x @ y as one gemm over the whole batch: a gradient product, a dense
+    # layer's input gradient (g @ w.T) or weight gradient (x.T @ g). Row
+    # invariance is what forwards and the mixed pass need; a gradient only
+    # has to be deterministic for a fixed batch shape, and the seed fixes
+    # training's batch shapes. So it skips `_mm`'s row blocks, padding and
+    # copy of a transposed x. Its bits depend on the operands' layouts, and
+    # on the BLAS thread count for large enough operands
+    # (tests/test_training.py checks the model's widths at 1 and 2 threads).
+    # Only nn.backprop and matmul's VJP call it, so no forward reaches it.
+    return x.dot(y)
+    pad = -m % ROW_BLOCK
+    if pad or not x.flags.c_contiguous:
+        blocks = np.zeros((m + pad, k))
+        blocks[:m] = x
+        x = blocks
+    out = np.matmul(x.reshape(-1, ROW_BLOCK, k), y).reshape(-1, y.shape[1])
+    return out[:m] if pad else out
+
+
+def _grad_mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x @ y as one gemm over the whole batch: a dense layer's input gradient
+    # (g @ w.T) and weight gradient (x.T @ g), the backward products. Row
+    # invariance is what forwards and the mixed pass need, so that a row's
+    # output does not depend on its batch; a gradient product only has to be
+    # deterministic for a fixed batch shape, and the seed fixes training's
+    # batch shapes. So these products skip `_mm`'s row blocks, its padding
+    # and its copy of a transposed x. The bits depend on the operands'
+    # layouts and, as any BLAS product, may depend on the BLAS thread count
+    # for large enough operands (tests/test_autograd.py checks the model's
+    # widths at 1 and 2 threads). Only nn.backprop and matmul's VJP call it.
+    return x.dot(y)
 
 
 def _seq_sum(x: np.ndarray) -> np.float64:
@@ -140,7 +176,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _mac_counter.total += m * k * b.shape[1]
 
     def vjp(g):
-        return _mm(g, b.data.T), _mm(a.data.T, g)
+        return _grad_mm(g, b.data.T), _grad_mm(a.data.T, g)
 
     return _track(_mm(a.data, b.data), (a, b), vjp)
 
@@ -244,7 +280,8 @@ def reduce(a: Tensor, kind: str) -> Tensor:
 
 
 def mse_array(a: np.ndarray, target: np.ndarray):
-    """The value of `mse` on plain arrays, and the difference d = a - target
+    """The mean squared difference of a from a plain-array target, bitwise
+    equal to reduce(mul(d, d), "mean"), and the difference d = a - target
     that `mse_vjp` takes."""
     if a.shape != np.shape(target):
         raise DimensionError(f"mse: shape mismatch {a.shape} vs {np.shape(target)}")
@@ -258,21 +295,6 @@ def mse_vjp(g, d: np.ndarray) -> np.ndarray:
     would add."""
     gd = (g / d.size) * d
     return gd + gd
-
-
-def mse(a: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared difference from a plain-array target (never a gradient
-    path), as one node. Bitwise equal to reduce(mul(d, d), "mean") with
-    d = a - target."""
-    if isinstance(target, Tensor):
-        raise ContractError("mse: the target must be a plain array, got a Tensor")
-    value, d = mse_array(a.data, target)
-    return _track(np.asarray(value), (a,), lambda g: (mse_vjp(g, d),))
-
-
-def detach(a: Tensor) -> Tensor:
-    """Same values, no graph linkage; backward never reaches a's ancestors."""
-    return Tensor(a.data.copy())
 
 
 def backward(loss: Tensor) -> None:

@@ -116,16 +116,17 @@ class Network:
 def backprop(trace: list[tuple], g: np.ndarray, need_gx: bool):
     """Pushes the adjoint g of a pass's output back through its trace (from
     Network.trace), last layer first, with each dense layer's VJP: gz = g
-    times the activation's derivative, then gz @ w.T, x.T @ gz and gz summed
-    over the rows. Returns the adjoint of the pass's input (None unless
-    need_gx) and the weight and bias gradients in layer order."""
+    times the activation's derivative, then gz @ w.T, x.T @ gz (each one
+    whole-batch `ag._grad_mm`) and gz summed over the rows. Returns the
+    adjoint of the pass's input (None unless need_gx) and the weight and bias
+    gradients in layer order."""
     grads = []
     for k in range(len(trace) - 1, -1, -1):
         x, w, out, act = trace[k]
         df = ag._ACT[act][1]
         gz = g if df is None else g * df(out)
-        g = ag._mm(gz, w.T) if need_gx or k > 0 else None
-        grads += (gz.sum(axis=0), ag._mm(x.T, gz))
+        g = ag._grad_mm(gz, w.T) if need_gx or k > 0 else None
+        grads += (gz.sum(axis=0), ag._grad_mm(x.T, gz))
     grads.reverse()
     return g, grads
 

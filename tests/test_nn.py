@@ -33,6 +33,9 @@ class TestForward:
         net = random_net([5, 4, 3], seed=3)
         x = Tensor(RNG.uniform(-1, 1, (6, 5)))
         l0, l1 = net.layers
+        # init_network's biases are zero, which would hide a wrong bias add.
+        for layer in net.layers:
+            layer.bias.data = RNG.uniform(-1, 1, layer.out_dim)
         h = ag.tanh(ag.add(ag.matmul(x, l0.weights), l0.bias))
         expected = ag.add(ag.matmul(h, l1.weights), l1.bias)
         assert np.array_equal(net.forward(x).data, expected.data)

@@ -3,6 +3,10 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from switchpass.autograd import Tensor
 from switchpass.errors import (ConfigError, ContractError, DimensionError, FormatError,
                                TrainingError)
 from switchpass.model import _SHUFFLE, SwitchedAutoencoder, derive_seed
+
+from reference_ops import detach, mse
 
 
 def tiny_config(**kw):
@@ -253,7 +259,7 @@ def chain_passes(x: Tensor, model: SwitchedAutoencoder):
     """The train-mode masked latent, the full output, a detached latent and
     the light output, each network run by layer_chain."""
     h = model.mask.apply(layer_chain(model.prefix, x))
-    h_frozen = ag.detach(h)
+    h_frozen = detach(h)
     return h, layer_chain(model.suffix, h), h_frozen, layer_chain(model.light, h_frozen)
 
 
@@ -269,10 +275,10 @@ def reference_total_loss(x: Tensor, model: SwitchedAutoencoder):
     for the one-node loss."""
     cfg = model.cfg
     h, full_out, h_frozen, d_out = chain_passes(x, model)
-    l_recon = ag.mse(full_out, x.data)
-    l_lwd = ag.mse(d_out, full_out.data)
+    l_recon = mse(full_out, x.data)
+    l_lwd = mse(d_out, full_out.data)
     predicted = chain_predict(model, h_frozen)
-    l_switch = ag.mse(predicted, routing.pass_gap_array(d_out.data, full_out.data))
+    l_switch = mse(predicted, routing.pass_gap_array(d_out.data, full_out.data))
     l_comp = ag.reduce(model.mask.w, "l1")
     l_total = ag.add(l_recon, routing.block_loss(l_switch, l_lwd, l_comp, cfg))
     terms = {"l_recon": l_recon, "l_switch": l_switch, "l_lwd": l_lwd, "l_comp": l_comp,
@@ -298,11 +304,19 @@ class TestOneNodeLossMatchesTheGraph:
             beta=draw(st.sampled_from([0.0, 1e-3, 0.3])))
         seed = draw(st.integers(0, 2**16))
         pair = [SwitchedAutoencoder(dims, acts, dsl, seed) for _ in range(2)]
-        # Mask weights spread around 0, some exactly 0, so sign() takes every value.
-        w = np.random.default_rng(seed).uniform(-1.5, 1.5, pair[0].mask.dim)
+        # Mask weights spread around 0, some exactly 0, so sign() takes every
+        # value. Biases are drawn too: the model's own start at zero, which
+        # would hide a wrong bias add.
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(-1.5, 1.5, pair[0].mask.dim)
         w[::3] = 0.0
+        biases = {name: rng.uniform(-0.5, 0.5, p.shape)
+                  for name, p in pair[0].named_parameters() if name.endswith(".bias")}
         for model in pair:
             model.mask.w.data = w.copy()
+            for name, p in model.named_parameters():
+                if name in biases:
+                    p.data = biases[name].copy()
         return pair, dims[0]
 
     @staticmethod
@@ -358,6 +372,56 @@ class TestOneNodeLossMatchesTheGraph:
             assert moved != name.startswith(("switch.", "light.")), name
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Hashes every parameter's gradient after total_loss and backward, at the
+# default and the x8 widths and at both batch heights a default training run
+# uses (32, and 22 for the last batch of 1750 rows), then prints the BLAS
+# thread count in use and the digest.
+GRADIENT_HASH = """
+import hashlib
+import sys
+
+import numpy as np
+
+sys.path.insert(0, sys.argv[1])
+from run import blas_threads
+from switchpass import autograd as ag
+from switchpass import training
+from switchpass.autograd import Tensor
+from switchpass.model import SwitchedAutoencoder
+
+cfg = training.TrainConfig()
+digest = hashlib.sha256()
+for dims in (cfg.dims, [64, 256, 256, 384, 384, 384, 64]):
+    model = SwitchedAutoencoder(dims, cfg.activations, cfg.dsl, cfg.seed)
+    for rows in (32, 22):
+        x = Tensor(np.random.default_rng(rows).uniform(-1, 1, (rows, dims[0])))
+        for _, p in model.named_parameters():
+            p.zero_grad()
+        ag.backward(training.total_loss(x, model)[0])
+        for _, p in model.named_parameters():
+            digest.update(p.grad.tobytes())
+print(blas_threads(), digest.hexdigest())
+"""
+
+
+def test_gradient_bits_do_not_depend_on_the_blas_thread_count():
+    # A gradient product is one gemm over the whole batch, the size at which
+    # OpenBLAS may split a product across threads. Each count is set before
+    # numpy loads, in its own process.
+    runs = {}
+    for threads in ("1", "2"):
+        path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run([sys.executable, "-c", GRADIENT_HASH, str(ROOT / "perfbench")],
+                              env=env, capture_output=True, text=True, check=True)
+        runs[threads] = done.stdout.split()
+    if runs["2"][0] not in ("2", "None"):
+        pytest.skip(f"BLAS runs {runs['2'][0]} thread(s) when asked for 2")
+    assert runs["1"][1] == runs["2"][1]
+
+
 class TestTotalLoss:
     def test_zero_weights_reduce_to_reconstruction(self):
         cfg = tiny_config()
@@ -394,10 +458,10 @@ class TestTotalLoss:
                 p.zero_grad()
             _, full_out, h_frozen, d_out = chain_passes(x, model)
             if term == "lwd":
-                ag.backward(ag.mse(d_out, full_out.data))
+                ag.backward(mse(d_out, full_out.data))
             elif term == "switch":
                 predicted = chain_predict(model, h_frozen)
-                ag.backward(ag.mse(predicted, routing.pass_gap_array(d_out.data, full_out.data)))
+                ag.backward(mse(predicted, routing.pass_gap_array(d_out.data, full_out.data)))
             elif term == "comp":
                 ag.backward(ag.reduce(model.mask.w, "l1"))
             return {

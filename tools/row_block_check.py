@@ -2,10 +2,11 @@
 
     python3 tools/row_block_check.py
 
-`_mm` computes every matrix product as one gemm per block of
-`autograd.ROW_BLOCK` rows. The mixed pass's bitwise equality with the full
-and light passes rests on a row's bits depending only on that row and the
-right operand, never on the rows around it. That is a property of the
+`_mm` computes every forward product as one gemm per block of
+`autograd.ROW_BLOCK` rows (gradient products run through `_grad_mm`, one
+gemm over the batch, and need no row invariance). The mixed pass's bitwise
+equality with the full and light passes rests on a row's bits depending
+only on that row and the right operand, never on the rows around it. That is a property of the
 numpy/BLAS build's kernels, not of the code, so this sweep checks it on the
 build it runs on. Set `OPENBLAS_NUM_THREADS` to check another thread count.
 
@@ -17,8 +18,9 @@ transposed view of an `(n, k)` one) and with and without signed zeros
 - alone, as a one-row product;
 - at every position of a block of other random rows;
 - at a random position inside an odd and an even batch of random rows;
-- inside an odd and an even batch given as a transposed view, the left
-  operand of a weight gradient (`_mm(x.T, g)`).
+- inside an odd and an even batch given as a transposed view, which
+  stands for any forward input that is not C-contiguous (`_mm` copies it
+  into its blocks).
 
 Every result must equal the one-row product bit for bit. Prints each shape
 that differs and exits 1 if there is any, 0 otherwise.
