@@ -27,7 +27,7 @@ _node_ids = itertools.count()
 # Active MAC counter, if any. Single-threaded by contract.
 _mac_counter = None
 
-#: Height of the row blocks every matrix product is computed in (see _mm).
+#: Height of the row blocks every forward product is computed in (see _mm).
 ROW_BLOCK = 2
 
 
@@ -51,29 +51,41 @@ class MacCounter:
         return False
 
 
+def pad_rows(a: np.ndarray) -> np.ndarray:
+    """a with its last row repeated up to a multiple of ROW_BLOCK rows. A
+    repeated real row is the cheapest fill, and by row invariance it moves no
+    other row's bits; a single row is copied by `repeat`, which costs less
+    than a concatenate at batch 1. A height already a multiple (or an empty
+    batch) is returned as it is. Serving pads a batch once with it, so no
+    layer of a pass pads again, and `_mm` pads an odd left operand with it."""
+    n = a.shape[0]
+    extra = -n % ROW_BLOCK
+    if not extra:
+        return a
+    return a.repeat(ROW_BLOCK, axis=0) if n == 1 else np.concatenate([a] + [a[-1:]] * extra)
+
+
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # x @ y as one gemm per fixed block of ROW_BLOCK rows of x: the forward
-    # product. A height that is not a multiple of ROW_BLOCK is zero-padded,
-    # and an x that is not C-contiguous (a transposed or strided view) is
-    # copied, so every block reaches BLAS in one layout. On the BLAS build in
-    # use a row's bits then depend only on that row and y, not on the other
-    # row of its block nor on where it sits (tools/row_block_check.py checks
-    # it), so every product is row and batch invariant. They also depend on
-    # y's memory layout (a transposed view and a contiguous copy differ), so
-    # every call site keeps the layout it passes. A single block is
-    # `x.dot(y)`, the same gemm without matmul's dispatch, when y is C- or
-    # F-contiguous (otherwise dot may copy y and call BLAS where matmul runs
-    # numpy's own loop). With `_grad_mm`, the only matrix products in the
-    # package. The height is never chosen by batch size: a row's bits would
-    # then depend on its batch.
+    # product. A height that is not a multiple of ROW_BLOCK is padded by
+    # `pad_rows`, and an x that is not C-contiguous (a transposed or strided
+    # view) is copied, so every block reaches BLAS in one layout. On the BLAS
+    # build in use a row's bits then depend only on that row and y, not on
+    # the other row of its block nor on where it sits
+    # (tools/row_block_check.py checks it), so every product is row and
+    # batch invariant. They also depend on y's memory layout (a transposed
+    # view and a contiguous copy differ), so every call site keeps the layout
+    # it passes. A single block is `x.dot(y)`, the same gemm without
+    # matmul's dispatch, when y is C- or F-contiguous (otherwise dot may copy
+    # y and call BLAS where matmul runs numpy's own loop). With `_grad_mm`,
+    # the only matrix products in the package. The height is never chosen by
+    # batch size: a row's bits would then depend on its batch.
     m, k = x.shape
     if m == ROW_BLOCK and x.flags.c_contiguous and y.flags.forc:
         return x.dot(y)
     pad = -m % ROW_BLOCK
     if pad or not x.flags.c_contiguous:
-        blocks = np.zeros((m + pad, k))
-        blocks[:m] = x
-        x = blocks
+        x = np.ascontiguousarray(pad_rows(x))
     out = np.matmul(x.reshape(-1, ROW_BLOCK, k), y).reshape(-1, y.shape[1])
     return out[:m] if pad else out
 
@@ -88,27 +100,6 @@ def _grad_mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # on the BLAS thread count for large enough operands
     # (tests/test_training.py checks the model's widths at 1 and 2 threads).
     # Only nn.backprop and matmul's VJP call it, so no forward reaches it.
-    return x.dot(y)
-    pad = -m % ROW_BLOCK
-    if pad or not x.flags.c_contiguous:
-        blocks = np.zeros((m + pad, k))
-        blocks[:m] = x
-        x = blocks
-    out = np.matmul(x.reshape(-1, ROW_BLOCK, k), y).reshape(-1, y.shape[1])
-    return out[:m] if pad else out
-
-
-def _grad_mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # x @ y as one gemm over the whole batch: a dense layer's input gradient
-    # (g @ w.T) and weight gradient (x.T @ g), the backward products. Row
-    # invariance is what forwards and the mixed pass need, so that a row's
-    # output does not depend on its batch; a gradient product only has to be
-    # deterministic for a fixed batch shape, and the seed fixes training's
-    # batch shapes. So these products skip `_mm`'s row blocks, its padding
-    # and its copy of a transposed x. The bits depend on the operands'
-    # layouts and, as any BLAS product, may depend on the BLAS thread count
-    # for large enough operands (tests/test_autograd.py checks the model's
-    # widths at 1 and 2 threads). Only nn.backprop and matmul's VJP call it.
     return x.dot(y)
 
 

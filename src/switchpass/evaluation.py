@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data as dat
-from . import routing, training
-from .autograd import Tensor, _mm, sigmoid_array
+from . import nn, routing, training
+from .autograd import Tensor, sigmoid_array
 from .errors import ContractError
 from .model import SwitchedAutoencoder
 from .output import write_csv
@@ -50,16 +50,6 @@ class RoutingReport:
     macs_light_only: int  # per frame
 
 
-def _check_predictions(pred: np.ndarray, caller: str, frames: str) -> np.ndarray:
-    """pred, unless a switch prediction in it is not finite (from a diverged
-    switch): then ContractError naming the caller, the count and the frames."""
-    bad = pred.size - int(np.count_nonzero(np.isfinite(pred)))
-    if bad:
-        raise ContractError(f"{caller}: {bad} of {pred.size} switch predictions on "
-                            f"{frames} are not finite")
-    return pred
-
-
 def routing_stats(model: SwitchedAutoencoder, frames, tau: float) -> RoutingReport:
     """Routing of frames at tau by the mixed pass's rule,
     `switch_predictions < tau`; only the prefix and switch run. A prediction
@@ -67,7 +57,8 @@ def routing_stats(model: SwitchedAutoencoder, frames, tau: float) -> RoutingRepo
     if not frames:
         raise ContractError("routing_stats: empty dataset")
     pred = model.switch_predictions(Tensor(dat.frames_to_matrix(frames)))
-    routes_light = _check_predictions(pred, "routing_stats", "the frames") < tau
+    routes_light = routing.check_finite(
+        pred, "routing_stats", "switch predictions on the frames") < tau
     return _routing_report(model, _tags(frames), routes_light, tau)
 
 
@@ -112,10 +103,10 @@ class ParityReport:
 def _outputs(model: SwitchedAutoencoder, frames, tau: float, caller: str, split: str):
     """The frames' input matrix, their full, light and mixed outputs from one
     model.passes, and their switch predictions, which must be finite
-    (_check_predictions, naming the caller and the split)."""
+    (routing.check_finite, naming the caller and the split)."""
     x = dat.frames_to_matrix(frames)
     pred, light, full = model.passes(x)
-    _check_predictions(pred, caller, split)
+    routing.check_finite(pred, caller, f"switch predictions on {split}")
     return x, {"full": full, "light": light,
                "mixed": np.where((pred < tau)[:, None], light, full)}, pred
 
@@ -247,33 +238,31 @@ def placement_ablation(base_cfg: TrainConfig, placements, jobs: int = 1) -> list
 # --- difficulty probe --------------------------------------------------------
 
 
-def _logits(x: np.ndarray, w: np.ndarray, b) -> np.ndarray:
-    return _mm(x, w[:, None])[:, 0] + b
-
-
 PROBE_EPOCHS = 300
 PROBE_LR = 0.05
 
 
-def fit_probe(x: np.ndarray, y: np.ndarray):
-    """Logistic regression (one dense layer + sigmoid) trained full-batch
-    with the training loop's Adam for a fixed budget of PROBE_EPOCHS steps
-    at PROBE_LR. Deterministic: zero init, convex loss."""
+def fit_probe(x: np.ndarray, y: np.ndarray) -> nn.DenseLayer:
+    """Logistic regression, a zero-initialised dense layer (d -> 1) and a
+    sigmoid, trained full-batch with the training loop's Adam for a fixed
+    budget of PROBE_EPOCHS steps at PROBE_LR. Each step calls the layer on x
+    and takes its gradients from nn.backprop over the call's one-record
+    trace. Deterministic: zero init, convex loss."""
     n, d = x.shape
-    w = Tensor(np.zeros(d))
-    b = Tensor(np.zeros(()))
-    params = [("w", w), ("b", b)]
+    layer = nn.DenseLayer(Tensor(np.zeros((d, 1))), Tensor(np.zeros(1)))
+    params = [("w", layer.weights), ("b", layer.bias)]
     state = training.AdamState(params, lr=PROBE_LR)
     for _ in range(PROBE_EPOCHS):
-        err = (sigmoid_array(_logits(x, w.data, b.data)) - y) / n
-        w.grad = _mm(x.T, err[:, None])[:, 0]
-        b.grad = err.sum()
+        z = layer(x)
+        err = (sigmoid_array(z) - y[:, None]) / n
+        trace = [(x, layer.weights.data, z, layer.activation)]
+        _, (layer.weights.grad, layer.bias.grad) = nn.backprop(trace, err, False)
         training.adam_step(params, state)
-    return w.data, float(b.data)
+    return layer
 
 
-def probe_accuracy(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((sigmoid_array(_logits(x, w, b)) > 0.5).astype(np.float64) == y))
+def probe_accuracy(probe: nn.DenseLayer, x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean((sigmoid_array(probe(x)[:, 0]) > 0.5).astype(np.float64) == y))
 
 
 @dataclass
@@ -308,8 +297,8 @@ def _probe(model: SwitchedAutoencoder, dataset: dat.Dataset, tau: float,
     y_train, y_test = _labels(_tags(dataset.train)), _labels(test_tags)
     accs = {}
     for source in train:
-        w, b = fit_probe(model.infer_latent(train[source]), y_train)
-        accs[f"acc_{source}"] = probe_accuracy(w, b, model.infer_latent(test[source]), y_test)
+        probe = fit_probe(model.infer_latent(train[source]), y_train)
+        accs[f"acc_{source}"] = probe_accuracy(probe, model.infer_latent(test[source]), y_test)
     return DownstreamReport(**accs)
 
 

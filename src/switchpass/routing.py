@@ -118,23 +118,9 @@ class Switch:
         return ag.softplus_array(self.net.infer(h, n))[:, 0]
 
 
-def pad_rows(a: np.ndarray) -> np.ndarray:
-    """a with its last row repeated up to a multiple of ag.ROW_BLOCK rows, so
-    the kernel pads no layer of a pass again. A repeated real row is the
-    cheapest fill, and by row invariance it moves no other row's bits; a
-    single row is copied by `repeat`, which costs less than a concatenate at
-    batch 1. A height already a multiple (or an empty batch) is returned as
-    it is."""
-    n = a.shape[0]
-    extra = -n % ag.ROW_BLOCK
-    if not extra:
-        return a
-    return a.repeat(ag.ROW_BLOCK, axis=0) if n == 1 else np.concatenate([a] + [a[-1:]] * extra)
-
-
 def padded_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Hard-masked activation at the block, on plain arrays, for x padded
-    once by pad_rows, and x's row count n: every inference pass starts
+    once by ag.pad_rows, and x's row count n: every inference pass starts
     here, runs its networks on the padded rows and returns the first n. x is
     checked before it is padded. A NaN row would route full (NaN < tau is
     false). The prefix has at least one layer, so its output is a fresh array
@@ -145,7 +131,7 @@ def padded_latent(prefix: nn.Network, mask: LatentMask, x: np.ndarray) -> tuple[
         row = int(np.argmin(np.isfinite(x).all(axis=1)))
         raise ContractError(f"inference: input row {row} is not finite")
     n = x.shape[0]
-    h = prefix.infer(pad_rows(x), n)
+    h = prefix.infer(ag.pad_rows(x), n)
     h *= mask.hard_weights()
     return h, n
 
@@ -213,6 +199,16 @@ LIGHT_ROUTE = RouteDecision(LIGHT)
 FULL_ROUTE = RouteDecision(FULL)
 
 
+def check_finite(pred: np.ndarray, caller: str, what: str) -> np.ndarray:
+    """pred, unless a value in it is not finite (a diverged switch's
+    prediction): then ContractError naming the caller, the count and what
+    pred holds."""
+    bad = pred.size - int(np.count_nonzero(np.isfinite(pred)))
+    if bad:
+        raise ContractError(f"{caller}: {bad} of {pred.size} {what} are not finite")
+    return pred
+
+
 def calibrate_threshold(predictions, target_light_fraction: float) -> float:
     """Threshold at which roughly `target_light_fraction` of the calibration
     predictions would route light.
@@ -231,10 +227,7 @@ def calibrate_threshold(predictions, target_light_fraction: float) -> float:
         raise ContractError(
             f"calibrate_threshold: fraction must be in [0, 1], got {target_light_fraction}"
         )
-    bad = preds.size - int(np.count_nonzero(np.isfinite(preds)))
-    if bad:
-        raise ContractError(
-            f"calibrate_threshold: {bad} of {preds.size} predictions are not finite")
+    check_finite(preds, "calibrate_threshold", "predictions")
     return float(np.quantile(preds, target_light_fraction, method="linear"))
 
 
@@ -254,7 +247,7 @@ def mixed_forward(
     runs the lightweight decoder on those rows and the full suffix on the
     rest, on plain arrays. Ties and NaN go full, the safe direction. The
     batch is padded once (padded_latent) and each routed subset is gathered
-    to an even row count (pad_rows on its row indices), so no layer pads
+    to an even row count (ag.pad_rows on its row indices), so no layer pads
     again. A batch whose rows all route one way runs that decoder on the
     whole latent with no gather or scatter; row invariance makes its bits
     those of the general path.
@@ -268,5 +261,5 @@ def mixed_forward(
         return Tensor(suffix.infer(h, n)[:n]), [FULL_ROUTE] * n
     out = np.empty((n, suffix.output_dim))
     for net, rows in ((lwd, np.flatnonzero(light)), (suffix, np.flatnonzero(~light))):
-        out[rows] = net.infer(h.take(pad_rows(rows), axis=0), rows.size)[:rows.size]
+        out[rows] = net.infer(h.take(ag.pad_rows(rows), axis=0), rows.size)[:rows.size]
     return Tensor(out), [LIGHT_ROUTE if is_light else FULL_ROUTE for is_light in light.tolist()]

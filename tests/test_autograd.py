@@ -313,8 +313,8 @@ class TestRowInvariance:
 @pytest.mark.parametrize("left", ["row", "misaligned-row", "column-view"])
 @pytest.mark.parametrize("zeros", [False, True], ids=["uniform", "signed-zeros"])
 def test_one_row_product_equals_row_0_of_a_two_row_product(k, n, right, left, zeros):
-    # A one-row _mm is zero-padded to one 2-row block, and a two-row one is
-    # that block with a real second row. A block is `x.dot(y)` when y is C-
+    # A one-row _mm is padded to one 2-row block by repeating the row, and
+    # a two-row one is that block with another real second row. A block is `x.dot(y)` when y is C-
     # or F-contiguous, and a blocked matmul otherwise: a strided y (no unit
     # stride) or a column view of a wider y (unit stride, not contiguous),
     # where matmul may run numpy's own loop instead of BLAS. The signed-zero
@@ -755,18 +755,18 @@ def test_mm_is_the_only_matrix_product_in_src():
     assert found == []
 
 
-def test_grad_mm_is_called_only_by_the_gradient_products():
-    # `_grad_mm` is not row invariant, so no forward may reach it: its only
-    # callers are nn.backprop and the VJP inside ag.matmul. Each use of the
-    # name is reported with the functions that enclose it.
+def uses_in_src(name: str) -> list[tuple[str, str]]:
+    """Each use of `name` in src, as a bare name or an attribute, with its
+    file and the classes and functions that enclose it, outside the
+    module-level function of that name itself."""
     src = pathlib.Path(ag.__file__).parent
     uses = []
 
     def visit(node, path, scope):
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
             scope = scope + (getattr(node, "name", "<lambda>"),)
-        named = ((isinstance(node, ast.Name) and node.id == "_grad_mm")
-                 or (isinstance(node, ast.Attribute) and node.attr == "_grad_mm"))
+        named = ((isinstance(node, ast.Name) and node.id == name)
+                 or (isinstance(node, ast.Attribute) and node.attr == name))
         if named:
             uses.append((path.name, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
@@ -775,7 +775,22 @@ def test_grad_mm_is_called_only_by_the_gradient_products():
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
-            if not (isinstance(node, ast.FunctionDef) and node.name == "_grad_mm"):
+            if not (isinstance(node, ast.FunctionDef) and node.name == name):
                 visit(node, path, ())
+    return uses
+
+
+def test_grad_mm_is_called_only_by_the_gradient_products():
+    # `_grad_mm` is not row invariant, so no forward may reach it: its only
+    # callers are nn.backprop and the VJP inside ag.matmul.
+    uses = uses_in_src("_grad_mm")
     assert sorted(set(uses)) == [("autograd.py", "matmul.vjp"), ("nn.py", "backprop")]
     assert len(uses) == 4
+
+
+def test_mm_is_called_only_by_the_forward_products():
+    # The forward twin: every forward product is a dense layer's call or
+    # ag.matmul, so no gradient product and no hand-written layer reaches
+    # `_mm`'s row blocks.
+    uses = uses_in_src("_mm")
+    assert sorted(uses) == [("autograd.py", "matmul"), ("nn.py", "DenseLayer.__call__")]

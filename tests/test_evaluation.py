@@ -230,16 +230,16 @@ class TestProbe:
         x1 = rng.normal(2.0, 0.3, (60, 8))
         x = np.vstack([x0, x1])
         y = np.array([0.0] * 60 + [1.0] * 60)
-        w, b = ev.fit_probe(x, y)
-        assert ev.probe_accuracy(w, b, x, y) == 1.0
+        probe = ev.fit_probe(x, y)
+        assert ev.probe_accuracy(probe, x, y) == 1.0
 
     def test_probe_deterministic(self):
         rng = np.random.default_rng(5)
         x = rng.normal(0, 1, (40, 6))
         y = (x[:, 0] > 0).astype(float)
-        w1, b1 = ev.fit_probe(x, y)
-        w2, b2 = ev.fit_probe(x, y)
-        assert np.array_equal(w1, w2) and b1 == b2
+        p1, p2 = ev.fit_probe(x, y), ev.fit_probe(x, y)
+        assert p1.weights.data.tobytes() == p2.weights.data.tobytes()
+        assert p1.bias.data.tobytes() == p2.bias.data.tobytes()
 
     def test_downstream_report_bounds(self, tiny_run):
         cfg, result = tiny_run

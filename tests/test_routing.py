@@ -556,7 +556,7 @@ class TestMixedOutputProperties:
     @given(st.sampled_from(["prefix", "suffix", "light", "switch"]), st.integers(1, 9),
            st.integers(0, 55), st.booleans())
     def test_infer_padded_once_equals_infer_unpadded(self, name, m, start, default_dims):
-        # Serving pads a batch once (routing.pad_rows) and passes its real
+        # Serving pads a batch once (ag.pad_rows) and passes its real
         # row count; unpadded, the kernel pads an odd height itself. Both give
         # the real rows the same bits and count MACs for those m rows only.
         model = self.DEFAULT_MODEL if default_dims else self.MODEL
@@ -567,7 +567,7 @@ class TestMixedOutputProperties:
         run = model.switch.infer if name == "switch" else net.infer
         x = pool[start:start + m]
         outs = []
-        for batch in (routing.pad_rows(x), x):
+        for batch in (ag.pad_rows(x), x):
             with MacCounter() as counter:
                 outs.append(run(batch, m)[:m])
             assert counter.total == m * nn.mac_count(net)

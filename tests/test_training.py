@@ -142,8 +142,7 @@ class TestFlatAdamMatchesReference:
         # array or rebound to None, and each .data may be rebound, as
         # load_state_arrays does. The step copies what was rebound into the
         # flat buffers and binds the same views again. One 0-d parameter
-        # always takes its gradient as a numpy scalar, as
-        # evaluation.fit_probe's bias does.
+        # always takes its gradient as a numpy scalar.
         shapes.insert(min(scalar_at, len(shapes)), ())
         n = len(shapes)
         rng = np.random.default_rng(seed)
